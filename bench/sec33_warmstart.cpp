@@ -10,17 +10,11 @@
 /// time, and *asserts* the contract: warm stdout byte-identical to cold,
 /// zero rejects, and a warm hit rate of at least 70%.
 ///
-/// A third scenario measures the translation server: the cold run's
-/// directory is handed to an in-process vgserve daemon and a fresh client
-/// (no local cache) installs everything over the Unix socket — same
-/// byte-identical contract, plus at least 90% of installs served.
-///
 /// Emits BENCH_warmstart.json for regression tracking.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Launcher.h"
-#include "server/TransServer.h"
 #include "tools/Nulgrind.h"
 #include "workloads/Workloads.h"
 
@@ -78,7 +72,7 @@ int main() {
 
   struct Row {
     std::string Name;
-    Cell Cold, Warm, Served;
+    Cell Cold, Warm;
   };
   std::vector<Row> Rows;
 
@@ -94,29 +88,12 @@ int main() {
       std::vector<std::string> Opts = {
           "--smc-check=none", "--chaining=yes", "--hot-threshold=2",
           "--tt-cache=" + Dir.string()};
-      Nulgrind T1, T2, T3;
+      Nulgrind T1, T2;
       RunReport Cold = runUnderCore(Img, &T1, Opts);
       RunReport Warm = runUnderCore(Img, &T2, Opts);
       check(Cold.Completed && Warm.Completed, "run did not complete", Name);
       check(Warm.Stdout == Cold.Stdout,
             "warm stdout differs from cold stdout", Name);
-      // Server-warm: an in-process daemon owns the directory the cold run
-      // just populated; the client has no local cache, so every install
-      // must travel the socket (fetch + client-side re-validation).
-      TransServer::Options SO;
-      SO.Dir = Dir.string();
-      SO.SocketPath = Dir.string() + ".sock";
-      TransServer Server(SO);
-      std::string SrvErr;
-      check(Server.start(SrvErr), "vgserve daemon failed to start", Name);
-      std::vector<std::string> SrvOpts = {
-          "--smc-check=none", "--chaining=yes", "--hot-threshold=2",
-          "--tt-server=" + SO.SocketPath};
-      RunReport Srv = runUnderCore(Img, &T3, SrvOpts);
-      Server.stop();
-      check(Srv.Completed, "served run did not complete", Name);
-      check(Srv.Stdout == Cold.Stdout,
-            "served stdout differs from cold stdout", Name);
       if (Rep == 0 || Cold.Seconds < R.Cold.Seconds) {
         R.Cold = {Cold.Seconds, Cold.Stats.TranslateSeconds, Cold.Jit,
                   Cold.Stats.Translations, Cold.Stdout};
@@ -125,15 +102,10 @@ int main() {
         R.Warm = {Warm.Seconds, Warm.Stats.TranslateSeconds, Warm.Jit,
                   Warm.Stats.Translations, Warm.Stdout};
       }
-      if (Rep == 0 || Srv.Seconds < R.Served.Seconds) {
-        R.Served = {Srv.Seconds, Srv.Stats.TranslateSeconds, Srv.Jit,
-                    Srv.Stats.Translations, Srv.Stdout};
-      }
     }
     for (const auto &[Label, C] :
          {std::pair<const char *, const Cell &>{"cold", R.Cold},
-          std::pair<const char *, const Cell &>{"warm", R.Warm},
-          std::pair<const char *, const Cell &>{"served", R.Served}}) {
+          std::pair<const char *, const Cell &>{"warm", R.Warm}}) {
       uint64_t Lookups =
           C.Jit.CacheHits + C.Jit.CacheMisses + C.Jit.CacheRejects;
       std::printf("%-10s %6s %9.4f %10.3f %6llu %6llu %6llu %6llu %7.1f%%\n",
@@ -155,19 +127,6 @@ int main() {
           R.Name);
     check(WarmLookups != 0 && 10 * R.Warm.Jit.CacheHits >= 7 * WarmLookups,
           "warm hit rate below 70%", R.Name);
-    // Served contract: everything the warm run got from disk, the served
-    // run must get over the wire — >= 90% of installs, no fallbacks, no
-    // rejects (the daemon only ever hands back what the cold run wrote).
-    uint64_t SrvLookups = R.Served.Jit.CacheHits + R.Served.Jit.CacheMisses +
-                          R.Served.Jit.CacheRejects;
-    check(R.Served.Jit.ServerHits > 0, "served run had no server hits",
-          R.Name);
-    check(R.Served.Jit.ServerFallbacks == 0, "served run fell back to JIT",
-          R.Name);
-    check(R.Served.Jit.ServerRejects == 0, "served run rejected blobs",
-          R.Name);
-    check(SrvLookups != 0 && 10 * R.Served.Jit.ServerHits >= 9 * SrvLookups,
-          "server-served install rate below 90%", R.Name);
     Rows.push_back(std::move(R));
   }
 
@@ -181,11 +140,9 @@ int main() {
               1e3 * ColdXlate, 1e3 * WarmXlate,
               WarmXlate > 0 ? ColdXlate / WarmXlate : 0.0);
   std::printf("(expected: warm runs replace eight-phase pipelines with a "
-              "read+checksum+hash-check per\n block; served runs add a "
-              "socket round-trip but keep the same validation; output "
-              "must\n stay byte-identical — cache and server can change "
-              "only where translations come from,\n never what they "
-              "do.)\n");
+              "read+checksum+hash-check per\n block; output must stay "
+              "byte-identical — the cache can change only where\n "
+              "translations come from, never what they do.)\n");
 
   {
     std::ofstream F("BENCH_warmstart.json");
@@ -195,16 +152,11 @@ int main() {
       const Row &R = Rows[I];
       uint64_t WarmLookups = R.Warm.Jit.CacheHits + R.Warm.Jit.CacheMisses +
                              R.Warm.Jit.CacheRejects;
-      uint64_t SrvLookups = R.Served.Jit.CacheHits +
-                            R.Served.Jit.CacheMisses +
-                            R.Served.Jit.CacheRejects;
       F << "    {\"program\": \"" << R.Name << "\""
         << ", \"cold_sec\": " << R.Cold.Seconds
         << ", \"warm_sec\": " << R.Warm.Seconds
-        << ", \"served_sec\": " << R.Served.Seconds
         << ", \"cold_xlate_sec\": " << R.Cold.XlateSeconds
         << ", \"warm_xlate_sec\": " << R.Warm.XlateSeconds
-        << ", \"served_xlate_sec\": " << R.Served.XlateSeconds
         << ", \"cold_writes\": " << R.Cold.Jit.CacheWrites
         << ", \"warm_hits\": " << R.Warm.Jit.CacheHits
         << ", \"warm_misses\": " << R.Warm.Jit.CacheMisses
@@ -213,14 +165,6 @@ int main() {
         << (WarmLookups ? static_cast<double>(R.Warm.Jit.CacheHits) /
                               static_cast<double>(WarmLookups)
                         : 0.0)
-        << ", \"server_hits\": " << R.Served.Jit.ServerHits
-        << ", \"server_fallbacks\": " << R.Served.Jit.ServerFallbacks
-        << ", \"server_bytes_fetched\": " << R.Served.Jit.ServerBytesFetched
-        << ", \"server_fetch_sec\": " << R.Served.Jit.ServerFetchSeconds
-        << ", \"served_rate\": "
-        << (SrvLookups ? static_cast<double>(R.Served.Jit.ServerHits) /
-                             static_cast<double>(SrvLookups)
-                       : 0.0)
         << ", \"stdout_identical\": true}"
         << (I + 1 != Rows.size() ? "," : "") << "\n";
     }

@@ -25,9 +25,6 @@ ctest --test-dir build --output-on-failure -j
 echo "== smoke: sec39_dispatch =="
 ./build/bench/sec39_dispatch
 
-echo "== smoke: sec32_asyncjit (background promotion) =="
-./build/bench/sec32_asyncjit
-
 echo "== smoke: trace tier (third-tier JIT) =="
 # A hot multi-block workload with the trace tier on must actually stitch
 # traces: the --profile report's trace section is the contract.
@@ -48,38 +45,6 @@ echo "== smoke: sec33_warmstart (persistent translation cache) =="
 # The bench itself enforces the contract: warm hit rate >= 70%, zero
 # rejects, and byte-identical stdout between cold and warm.
 ./build/bench/sec33_warmstart
-
-echo "== smoke: translation server (vgserve) =="
-# Cold run populates a cache directory, a vgserve daemon takes it over,
-# and a fresh client (no local cache) must install everything over the
-# socket: >= 1 server hit, zero inline-JIT fallbacks.
-TTDIR=$(mktemp -d "${TMPDIR:-/tmp}/vg-verify-tts.XXXXXX")
-TTSOCK="$TTDIR/vgserve.sock"
-./build/examples/vgrun --tool=nulgrind --chaining=yes --hot-threshold=2 \
-    --tt-cache="$TTDIR/cache" vortex >/dev/null 2>&1
-./build/src/vgserve --socket="$TTSOCK" --dir="$TTDIR/cache" --quiet &
-VGSERVE_PID=$!
-for _ in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do
-  [ -S "$TTSOCK" ] && break
-  sleep 0.1
-done
-SRVPROF=$(./build/examples/vgrun --tool=nulgrind --chaining=yes \
-    --hot-threshold=2 --tt-server="$TTSOCK" --profile=yes vortex 2>&1 \
-    | sed -n 's/^server \(requests\|timeouts\)/server \1/p')
-kill "$VGSERVE_PID" 2>/dev/null || true
-wait "$VGSERVE_PID" 2>/dev/null || true
-rm -rf "$TTDIR"
-echo "$SRVPROF"
-SRVHITS=$(echo "$SRVPROF" | sed -n 's/^server requests=[0-9]* hits=\([0-9]*\).*/\1/p')
-SRVFALL=$(echo "$SRVPROF" | sed -n 's/.*fallbacks=\([0-9]*\).*/\1/p')
-[ "${SRVHITS:-0}" -gt 0 ] || {
-  echo "server smoke: expected server hits > 0, got '${SRVHITS:-none}'" >&2
-  exit 1
-}
-[ "${SRVFALL:-1}" -eq 0 ] || {
-  echo "server smoke: expected 0 fallbacks, got '${SRVFALL:-none}'" >&2
-  exit 1
-}
 
 echo "== smoke: loopgrind (tool plug-in surface) =="
 # The demo tool built on the opened plug-in surface must produce a loop
@@ -125,15 +90,13 @@ FUZZ_ITERS=200
 ./build/src/vgfuzz --self-test --seed=1 --quiet
 
 echo "== smoke: ThreadSanitizer (concurrency label) =="
-# The TranslationService worker/guest-thread protocol, the sharded
-# scheduler (--sched-threads=N), and the MT client-request path under
-# TSan: service, persistent-cache, MT-scheduler, and client-request unit
-# tests (everything carrying the `concurrency` ctest label, via the tsan
-# preset).
+# The sharded scheduler (--sched-threads=N), the MT client-request path,
+# and concurrent --tt-cache writers under TSan: persistent-cache,
+# MT-scheduler, and client-request unit tests (everything carrying the
+# `concurrency` ctest label, via the tsan preset).
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j \
-    --target test_translationservice --target test_transcache \
-    --target test_transserver --target test_mtsched \
+    --target test_transcache --target test_mtsched \
     --target test_clientrequest >/dev/null
 ctest --preset tsan
 

@@ -73,12 +73,6 @@ Core::Core(Tool *ToolPlugin)
   Opts.addOption("trace-dump", "no",
                  "dump the event trace at exit (a fatal signal always "
                  "dumps it)");
-  Opts.addOption("jit-threads", "0",
-                 "background translation workers for hot-block promotion "
-                 "(0 = fully synchronous, deterministic)");
-  Opts.addOption("jit-queue-depth", "8",
-                 "bounded promotion-queue depth; a full queue falls back "
-                 "to inline translation");
   Opts.addOption("tt-cache", "",
                  "directory for the persistent translation cache: warm "
                  "runs install serialized translations instead of "
@@ -86,14 +80,6 @@ Core::Core(Tool *ToolPlugin)
   Opts.addOption("tt-cache-max-mb", "256",
                  "size budget for the --tt-cache directory in MiB; oldest "
                  "entries are evicted to fit (0 = unbounded)");
-  Opts.addOption("tt-server", "",
-                 "Unix-domain socket of a vgserve translation daemon, "
-                 "consulted on a local-cache miss; fetched entries are "
-                 "re-validated before install and any server failure "
-                 "degrades to the local cache / inline JIT (empty = off)");
-  Opts.addOption("tt-server-timeout-ms", "200",
-                 "per-request deadline for --tt-server traffic; a deadline "
-                 "that fires is retried with backoff, then degraded");
   Opts.addOption("sched-threads", "1",
                  "host threads executing guest threads in parallel (1 = the "
                  "serialised big-lock scheduler of Section 3.14; >1 needs a "
@@ -164,45 +150,25 @@ void Core::applyOptions() {
                ToolPlugin->name());
     SchedThreads = 1;
   }
-  unsigned JT = static_cast<unsigned>(
-      Opts.getIntChecked("jit-threads", 0, 16));
-  unsigned QD = static_cast<unsigned>(
-      Opts.getIntChecked("jit-queue-depth", 1, 1024));
-  if (JT)
-    XS->configure(JT, QD);
-  std::string CacheDir = Opts.getString("tt-cache");
-  std::string ServerSock = Opts.getString("tt-server");
-  if (!CacheDir.empty() || !ServerSock.empty()) {
+  if (std::string CacheDir = Opts.getString("tt-cache"); !CacheDir.empty()) {
     // The fingerprint covers everything that can change generated code:
     // the tool (its options too — tools register into this same registry)
     // and every core option except the handful that only affect where
     // output/cache files go or what gets *reported* (never what gets
     // *emitted*). --trace-events stays in: it turns on SP-tracking
-    // instrumentation. Computed once and shared by the cache and the
-    // server client: local files and served images must live in one key
-    // space, so a cold --tt-cache run's directory can be served verbatim.
+    // instrumentation.
     auto Items = Opts.items();
     std::erase_if(Items, [](const auto &It) {
       return It.first == "tt-cache" || It.first == "tt-cache-max-mb" ||
-             It.first == "tt-server" || It.first == "tt-server-timeout-ms" ||
              It.first == "log-file" || It.first == "profile" ||
              It.first == "trace-dump" || It.first == "sched-threads";
     });
     uint64_t CH = TransCache::configHash(
         ToolPlugin ? ToolPlugin->name() : "none", Items);
-    if (!CacheDir.empty()) {
-      uint64_t MaxMb = static_cast<uint64_t>(
-          Opts.getIntChecked("tt-cache-max-mb", 0, 1 << 20));
-      XS->attachCache(std::make_unique<TransCache>(
-          CacheDir, MaxMb * (1ull << 20), CH));
-    }
-    if (!ServerSock.empty()) {
-      TransServerClient::Config SC;
-      SC.SocketPath = ServerSock;
-      SC.TimeoutMs = static_cast<int>(
-          Opts.getIntChecked("tt-server-timeout-ms", 1, 60000));
-      XS->attachServer(std::make_unique<TransServerClient>(SC), CH);
-    }
+    uint64_t MaxMb = static_cast<uint64_t>(
+        Opts.getIntChecked("tt-cache-max-mb", 0, 1 << 20));
+    XS->attachCache(
+        std::make_unique<TransCache>(CacheDir, MaxMb * (1ull << 20), CH));
   }
 }
 
@@ -497,9 +463,8 @@ void Core::setupTranslation(TranslationOptions &TO, uint32_t PC, bool Hot,
     TO.Preserve.Lo = gso::gpr(RegSP);
     TO.Preserve.Hi = gso::gpr(RegSP) + 4;
   }
-  // The SMC policy consults live stack geometry, so it is sampled here on
-  // the guest thread; a worker running this hook later must not recompute
-  // it.
+  // The SMC policy consults live stack geometry, so it is sampled here,
+  // once, and the instrument hook below only reads the decision.
   bool WantSmc = Smc == SmcMode::All ||
                  (Smc == SmcMode::Stack && addrOnAnyStack(PC));
   // An SMC prelude embeds this run's Translation* in the blob, and under
@@ -509,8 +474,7 @@ void Core::setupTranslation(TranslationOptions &TO, uint32_t PC, bool Hot,
   // run's branch bias and chain graph, which no byte-content key captures.
   Raw->Cacheable = !WantSmc && TO.Trace.Entries.empty();
   // Seam entries (constituents after the head) for the per-seam SMC
-  // checks; copied now so the worker-side instrument call needs nothing
-  // from the guest thread.
+  // checks; copied now so the instrument hook owns everything it reads.
   std::vector<uint32_t> Seams(
       TO.Trace.Entries.empty() ? TO.Trace.Entries.begin()
                                : TO.Trace.Entries.begin() + 1,
@@ -530,13 +494,8 @@ void Core::noteTranslation(uint32_t PC, const Translation &T,
     Prof->noteTranslation(PC, T.NumInsns, T.Tier, Seconds);
 }
 
-void Core::mergePhaseTimes(const PhaseTimes &PT) {
-  if (Prof)
-    Prof->mergePhases(PT);
-}
-
-void Core::promotionInstalled(Translation *T, uint64_t GenBefore) {
-  Dispatch->promotionInstalled(T, GenBefore);
+void Core::traceInstalled(Translation *T, uint64_t GenBefore) {
+  Dispatch->traceInstalled(T, GenBefore);
 }
 
 //===----------------------------------------------------------------------===//
@@ -551,11 +510,6 @@ uint32_t Core::callGuest(ThreadState &TS, uint32_t Addr,
 }
 
 CoreExit Core::finishRun() {
-  // Stop the translation workers before reporting: unpublished jobs are
-  // abandoned (counted), and the counters below must be final. Any
-  // callGuest from a tool's fini degrades to inline promotion.
-  XS->shutdown();
-
   if (ToolPlugin)
     ToolPlugin->fini(ProcessExitCode);
   Dispatch->dumpProfile();

@@ -246,8 +246,7 @@ public:
                         Translation *Raw) override;
   void noteTranslation(uint32_t PC, const Translation &T,
                        double Seconds) override;
-  void mergePhaseTimes(const PhaseTimes &PT) override;
-  void promotionInstalled(Translation *T, uint64_t GenBefore) override;
+  void traceInstalled(Translation *T, uint64_t GenBefore) override;
 
   // Helper callees referenced from generated code (public because the
   // Callee descriptors binding them are defined at namespace scope).
@@ -267,20 +266,20 @@ private:
   friend class RedirectEngine;
   friend class ClientRequestEngine;
 
-  /// The shared run epilogue: worker shutdown, tool fini, profile/trace
-  /// dumps, exit-status construction. Called by DispatchLoop::run.
+  /// The shared run epilogue: tool fini, profile/trace dumps, exit-status
+  /// construction. Called by DispatchLoop::run.
   CoreExit finishRun();
 
   [[noreturn]] void internalError(const char *Msg);
 
   /// The core's own instrumentation layered around the tool's: SMC check
-  /// prelude (when \p WantSmc — sampled on the guest thread at options-
-  /// build time, since stack geometry must not be read from a worker) and
-  /// SP-change tracking (R7). For trace pipelines \p SeamEntries lists the
-  /// non-head constituent entry PCs: under WantSmc each seam gets its own
-  /// SMC check + SmcFail exit, because the trace inlines its constituents
-  /// without their own preludes and mid-path self-modification must still
-  /// abort at the seam it invalidates.
+  /// prelude (when \p WantSmc — sampled at options-build time from live
+  /// stack geometry) and SP-change tracking (R7). For trace pipelines
+  /// \p SeamEntries lists the non-head constituent entry PCs: under
+  /// WantSmc each seam gets its own SMC check + SmcFail exit, because the
+  /// trace inlines its constituents without their own preludes and
+  /// mid-path self-modification must still abort at the seam it
+  /// invalidates.
   void instrumentBlock(ir::IRSB &SB, uint32_t Addr, Translation *Trans,
                        bool WantSmc,
                        const std::vector<uint32_t> &SeamEntries);
@@ -293,8 +292,8 @@ private:
   GuestMemory Memory;
   AddressSpace AS;
   std::unique_ptr<SimKernel> Kernel;
-  /// The extracted translation layer; owns the TransTab and, under
-  /// --jit-threads=N, the promotion queue and workers.
+  /// The extracted translation layer; owns the TransTab and the optional
+  /// persistent translation cache.
   std::unique_ptr<TranslationService> XS;
   TransTab &TT; ///< alias into XS (guest-thread access only)
   Tool *ToolPlugin;

@@ -9,7 +9,6 @@
 #include "support/Hashing.h"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 
 using namespace vg;
@@ -50,26 +49,16 @@ Translation *DispatchLoop::promoteHot(uint32_t PC) {
   // are re-parked and relink to the superblock immediately (TransTab's
   // eager waiter resolution), so the hot path re-forms without further
   // dispatcher round-trips.
-  using Clock = std::chrono::steady_clock;
-  double T0 =
-      std::chrono::duration<double>(Clock::now().time_since_epoch()).count();
-  Translation *T = C.XS->translateSync(PC, /*Hot=*/true);
-  double T1 =
-      std::chrono::duration<double>(Clock::now().time_since_epoch()).count();
-  C.XS->noteSyncPromotion(T1 - T0);
-  return T;
+  return C.XS->translateSync(PC, /*Hot=*/true);
 }
 
-void DispatchLoop::promotionInstalled(Translation *T, uint64_t GenBefore) {
-  if (T->Tier == 2)
-    ++C.Stats.TracesFormed;
-  else
-    ++C.Stats.HotPromotions;
+void DispatchLoop::traceInstalled(Translation *T, uint64_t GenBefore) {
+  ++C.Stats.TracesFormed;
   if (C.TT.generation() == GenBefore + 1) {
-    // Only the replaced tier-1 block died in the insert: repair its
-    // fast-cache line surgically, exactly as the inline promotion path
-    // does. Any bigger generation jump (an eviction run) lets the
-    // generation check wipe the cache wholesale on the next dispatch.
+    // Only the replaced tier-1 head died in the insert: repair its
+    // fast-cache line surgically, exactly as the promotion path does. Any
+    // bigger generation jump (an eviction run) lets the generation check
+    // wipe the cache wholesale on the next dispatch.
     FastCacheGen = C.TT.generation();
     FastCache[hashAddr(T->Addr) & (FastCacheSize - 1)] =
         FastCacheEntry{T->Addr, T};
@@ -141,20 +130,11 @@ const hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
                           : nullptr;
   if (!Succ)
     return nullptr;
-  // A worker published a superblock: bounce to the dispatcher so it can
-  // install at a boundary where nothing is executing inside the code
-  // cache (an install may evict translations this very chain is standing
-  // on). Always false at --jit-threads=0.
-  if (C.XS->hasCompleted())
-    return nullptr;
   // Hotness accounting happens here too, or chained loops would never
   // cross the threshold. A successor about to go hot bounces back to the
   // dispatcher, which performs the promotion (retranslation must not run
-  // while the executor is inside the chain). A block whose promotion is
-  // already queued keeps chaining at tier 1 — bouncing every transfer
-  // until the worker finishes would cost more than the stall we avoided.
+  // while the executor is inside the chain).
   if (C.HotThreshold && Succ->Tier == 0 &&
-      !Succ->PromoPending.load(std::memory_order_relaxed) &&
       Succ->ExecCount.load(std::memory_order_relaxed) + 1 >=
           C.HotThreshold) {
     // The successor is known — the bounce exists only to run the promotion
@@ -167,11 +147,9 @@ const hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
   }
   // Same bounce for trace formation: a tier-1 successor crossing the trace
   // threshold returns to the dispatcher, which selects the path and
-  // stitches (or enqueues the stitch) there — never from inside a chain.
-  // TraceRetryAt keeps a head whose chain graph proved unbiased from
-  // bouncing every transfer.
+  // stitches there — never from inside a chain. TraceRetryAt keeps a head
+  // whose chain graph proved unbiased from bouncing every transfer.
   if (C.TraceTier && Succ->Tier == 1 &&
-      !Succ->PromoPending.load(std::memory_order_relaxed) &&
       Succ->ExecCount.load(std::memory_order_relaxed) + 1 >=
           C.effTraceThreshold() &&
       Succ->ExecCount.load(std::memory_order_relaxed) + 1 >=
@@ -219,12 +197,6 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
 
   while (Quantum > 0 && !C.ProcessExited && !C.FatalSignal &&
          TS.Status == ThreadStatus::Runnable && !YieldRequested) {
-    // Publish finished background promotions. Safe exactly here: nothing
-    // is executing inside the code cache between Exec.run calls, so the
-    // install may evict/replace translations freely. A no-op single
-    // atomic load at --jit-threads=0.
-    if (C.XS->hasCompleted())
-      C.XS->drainCompleted();
     if (C.Faults)
       injectBoundaryFaults(TS);
     if (C.Signals->deliverPending(TS)) {
@@ -284,36 +256,17 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
 
     // Hotness tier: promote once a block has proven itself.
     uint64_t Execs = T->ExecCount.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (T->Tier == 2)
-      ++C.Stats.TraceExecs;
     if (C.Prof)
       C.Prof->noteExec(PC);
-    if (C.HotThreshold && T->Tier == 0 &&
-        !T->PromoPending.load(std::memory_order_relaxed) &&
-        Execs >= C.HotThreshold) {
-      if (Translation *CT = C.XS->asyncEnabled() ? C.XS->promoteFromCache(PC)
-                                                 : nullptr) {
-        // Persistent-cache hit: the superblock was installed synchronously,
-        // replacing the tier-1 translation we were about to execute — the
-        // old T is dead memory now, so continue with the replacement.
-        // (At --jit-threads=0 the inline promoteHot path below consults
-        // the cache itself inside translateSync.)
-        T = CT;
-      } else if (C.XS->asyncEnabled() && C.XS->enqueuePromotion(T)) {
-        // The promotion compiles in the background; keep executing the
-        // tier-1 translation and install the superblock at a later
-        // boundary. No stall taken here — that is the whole point.
-      } else {
-        uint64_t GenBefore = C.TT.generation();
-        T = promoteHot(PC);
-        if (C.TT.generation() == GenBefore + 1) {
-          // Only the replaced translation died: repair its fast-cache line
-          // surgically instead of letting the generation check wipe the
-          // whole cache (every other entry still points at live memory).
-          FastCacheGen = C.TT.generation();
-          FastCache[hashAddr(PC) & (FastCacheSize - 1)] =
-              FastCacheEntry{PC, T};
-        }
+    if (C.HotThreshold && T->Tier == 0 && Execs >= C.HotThreshold) {
+      uint64_t GenBefore = C.TT.generation();
+      T = promoteHot(PC);
+      if (C.TT.generation() == GenBefore + 1) {
+        // Only the replaced translation died: repair its fast-cache line
+        // surgically instead of letting the generation check wipe the
+        // whole cache (every other entry still points at live memory).
+        FastCacheGen = C.TT.generation();
+        FastCache[hashAddr(PC) & (FastCacheSize - 1)] = FastCacheEntry{PC, T};
       }
     }
 
@@ -325,7 +278,6 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
     // Re-read the exec count: the promotion above may have replaced T.
     uint64_t TExecs = T->ExecCount.load(std::memory_order_relaxed);
     if (C.TraceTier && C.ChainingEnabled && T->Tier == 1 &&
-        !T->PromoPending.load(std::memory_order_relaxed) &&
         TExecs >= C.effTraceThreshold() &&
         TExecs >= T->TraceRetryAt.load(std::memory_order_relaxed)) {
       TraceSpec Spec = selectTracePath(T);
@@ -333,10 +285,6 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
         // No dominant successor: the chain graph is unbiased at the head.
         // Back off exponentially rather than re-walking it every entry.
         T->TraceRetryAt.store(TExecs * 2, std::memory_order_relaxed);
-      } else if (C.XS->asyncEnabled()) {
-        // Queued (PromoPending stops re-requests) or queue-full (retry on
-        // a later entry — no stall, no backoff; the bias only grows).
-        C.XS->enqueueTrace(T, Spec);
       } else if (Translation *NT = C.XS->translateTrace(Spec)) {
         T = NT; // the old T was replaced by the insert: run the trace now
       } else {
@@ -344,6 +292,10 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
         T->TraceRetryAt.store(TExecs * 2, std::memory_order_relaxed);
       }
     }
+    // Counted against the translation that actually runs: a trace formed
+    // just above executes (and may side-exit) on this very dispatch.
+    if (T->Tier == 2)
+      ++C.Stats.TraceExecs;
 
     // The chain budget is Quantum - 1 (this dispatch itself is one block);
     // guard the subtraction — delivery charges above can leave the quantum
@@ -619,8 +571,6 @@ void DispatchLoop::dispatchLoopMT(ShardCtx &S, ThreadState &TS) {
     {
       std::lock_guard<std::mutex> World(WorldMu);
       ++S.WorldLockAcquisitions;
-      if (C.XS->hasCompleted())
-        C.XS->drainCompleted();
       if (C.Faults)
         injectBoundaryFaults(TS);
       if (C.Signals->deliverPending(TS)) {
@@ -682,48 +632,36 @@ void DispatchLoop::dispatchLoopMT(ShardCtx &S, ThreadState &TS) {
 
       uint64_t Execs =
           T->ExecCount.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (T->Tier == 2)
-        ++C.Stats.TraceExecs;
       if (C.Prof)
         C.Prof->noteExec(PC);
-      if (C.HotThreshold && T->Tier == 0 &&
-          !T->PromoPending.load(std::memory_order_relaxed) &&
-          Execs >= C.HotThreshold) {
-        if (Translation *CT = C.XS->asyncEnabled()
-                                  ? C.XS->promoteFromCache(PC)
-                                  : nullptr) {
-          T = CT;
-        } else if (C.XS->asyncEnabled() && C.XS->enqueuePromotion(T)) {
-          // Background promotion; keep running tier 1.
-        } else {
-          uint64_t GenBefore = C.TT.generation();
-          T = promoteHot(PC);
-          if (C.TT.generation() == GenBefore + 1) {
-            // Surgical repair of this shard's own line (the serial loop's
-            // trick); other shards see the generation bump and wipe.
-            S.FastCacheGen = C.TT.generation();
-            S.FastCache[hashAddr(PC) & (FastCacheSize - 1)] =
-                FastCacheEntry{PC, T};
-          }
+      if (C.HotThreshold && T->Tier == 0 && Execs >= C.HotThreshold) {
+        uint64_t GenBefore = C.TT.generation();
+        T = promoteHot(PC);
+        if (C.TT.generation() == GenBefore + 1) {
+          // Surgical repair of this shard's own line (the serial loop's
+          // trick); other shards see the generation bump and wipe.
+          S.FastCacheGen = C.TT.generation();
+          S.FastCache[hashAddr(PC) & (FastCacheSize - 1)] =
+              FastCacheEntry{PC, T};
         }
       }
 
       uint64_t TExecs = T->ExecCount.load(std::memory_order_relaxed);
       if (C.TraceTier && C.ChainingEnabled && T->Tier == 1 &&
-          !T->PromoPending.load(std::memory_order_relaxed) &&
           TExecs >= C.effTraceThreshold() &&
           TExecs >= T->TraceRetryAt.load(std::memory_order_relaxed)) {
         TraceSpec Spec = selectTracePath(T);
         if (Spec.Entries.size() < 2) {
           T->TraceRetryAt.store(TExecs * 2, std::memory_order_relaxed);
-        } else if (C.XS->asyncEnabled()) {
-          C.XS->enqueueTrace(T, Spec);
         } else if (Translation *NT = C.XS->translateTrace(Spec)) {
           T = NT;
         } else {
           T->TraceRetryAt.store(TExecs * 2, std::memory_order_relaxed);
         }
       }
+      // As in the serial loop: counted after the final T is chosen.
+      if (T->Tier == 2)
+        ++C.Stats.TraceExecs;
     } // WorldMu released — everything below runs lock-free.
 
     uint64_t ChainBudget = (C.ChainingEnabled && Quantum > 0) ? Quantum - 1 : 0;
@@ -851,10 +789,7 @@ const hvm::CodeBlob *DispatchLoop::chainResolveThunkMT(void *User,
                           : nullptr;
   if (!Succ)
     return nullptr;
-  if (C->XS->hasCompleted())
-    return nullptr; // bounce: publish finished promotions at the boundary
   if (C->HotThreshold && Succ->Tier == 0 &&
-      !Succ->PromoPending.load(std::memory_order_relaxed) &&
       Succ->ExecCount.load(std::memory_order_relaxed) + 1 >=
           C->HotThreshold) {
     if (S->FastCacheGen == C->TT.generation())
@@ -862,8 +797,7 @@ const hvm::CodeBlob *DispatchLoop::chainResolveThunkMT(void *User,
           FastCacheEntry{Succ->Addr, Succ};
     return nullptr; // bounce: promotion decisions are made under the lock
   }
-  if (C->TraceTier && Succ->Tier == 1 &&
-      !Succ->PromoPending.load(std::memory_order_relaxed)) {
+  if (C->TraceTier && Succ->Tier == 1) {
     uint64_t E = Succ->ExecCount.load(std::memory_order_relaxed) + 1;
     if (E >= C->effTraceThreshold() &&
         E >= Succ->TraceRetryAt.load(std::memory_order_relaxed)) {
@@ -1010,25 +944,6 @@ void DispatchLoop::dumpProfile() {
       PC.FaultNames[I] = faultKindName(static_cast<FaultKind>(I));
     }
   }
-  if (C.XS->jitThreads() > 0) {
-    const JitStats &J = C.XS->jitStats();
-    PC.HasJit = true;
-    PC.JitThreads = C.XS->jitThreads();
-    PC.JitQueueDepth = C.XS->queueDepth();
-    PC.AsyncRequests = J.AsyncRequests;
-    PC.AsyncCompleted = J.AsyncCompleted;
-    PC.AsyncInstalled = J.AsyncInstalled;
-    PC.AsyncDiscardedEpoch = J.AsyncDiscardedEpoch;
-    PC.AsyncDiscardedStale = J.AsyncDiscardedStale;
-    PC.AsyncAbandoned = J.AsyncAbandoned;
-    PC.QueueFullFallbacks = J.QueueFullFallbacks;
-    PC.WorkerFailures = J.WorkerFailures;
-    PC.QueueHighWater = J.QueueHighWater;
-    PC.SyncPromotions = J.SyncPromotions;
-    PC.InstallLatencySeconds = J.InstallLatencySeconds;
-    PC.SyncPromoStallSeconds = J.SyncPromoStallSeconds;
-    PC.EnqueueSeconds = J.EnqueueSeconds;
-  }
   if (C.TraceTier) {
     const JitStats &J = C.XS->jitStats();
     PC.HasTraces = true;
@@ -1051,22 +966,6 @@ void DispatchLoop::dumpProfile() {
     PC.CacheDirBytes = TC->totalBytes();
     PC.CacheLoadSeconds = J.CacheLoadSeconds;
     PC.CacheStoreSeconds = J.CacheStoreSeconds;
-  }
-  if (const TransServerClient *SC = C.XS->server()) {
-    const JitStats &J = C.XS->jitStats();
-    PC.HasTransServer = true;
-    PC.ServerRequests = J.ServerRequests;
-    PC.ServerHits = J.ServerHits;
-    PC.ServerMisses = J.ServerMisses;
-    PC.ServerRejects = J.ServerRejects;
-    PC.ServerTimeouts = J.ServerTimeouts;
-    PC.ServerRetries = J.ServerRetries;
-    PC.ServerFallbacks = J.ServerFallbacks;
-    PC.ServerWrites = J.ServerWrites;
-    PC.ServerBytesFetched = J.ServerBytesFetched;
-    PC.ServerBytesSent = J.ServerBytesSent;
-    PC.ServerFetchSeconds = J.ServerFetchSeconds;
-    PC.ServerAlive = SC->alive();
   }
   if (C.SchedThreads > 1) {
     PC.HasSched = true;

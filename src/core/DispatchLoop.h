@@ -69,9 +69,9 @@ public:
   /// Yield request: the serial scheduler's flag plus the thread's own bit.
   void requestYield(int Tid);
 
-  /// Async promotion install hook: surgically repair the serial fast
-  /// cache's line when only the replaced translation died.
-  void promotionInstalled(Translation *T, uint64_t GenBefore);
+  /// Trace install hook: counts the trace and surgically repairs the
+  /// serial fast cache's line when only the replaced head died.
+  void traceInstalled(Translation *T, uint64_t GenBefore);
 
   /// The --profile report (reads the dispatch/scheduler counters this
   /// engine owns alongside Core's stats).
@@ -132,10 +132,9 @@ private:
   void reclaimLimbo();
 
   Translation *findOrTranslate(uint32_t PC);
-  /// Inline hot-tier promotion: retranslate \p PC as a superblock,
-  /// stalling the guest (the only mode at --jit-threads=0, and the
-  /// fallback rung when the async queue is full). Replaces the old
-  /// translation (predecessor chain slots relink eagerly via TransTab).
+  /// Hot-tier promotion: retranslate \p PC as a superblock, stalling the
+  /// guest. Replaces the old translation (predecessor chain slots relink
+  /// eagerly via TransTab).
   Translation *promoteHot(uint32_t PC);
   /// Walks the chain graph from \p Head picking the dominant successor at
   /// each step. Returns a spec with fewer than 2 entries when no biased

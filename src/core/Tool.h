@@ -50,10 +50,10 @@ public:
   virtual ShadowMap *shadowMap() { return nullptr; }
 
   /// Whether the tool's analysis state tolerates several guest threads
-  /// executing concurrently (--sched-threads=N). Requires: instrument()
-  /// already reentrant (the async JIT demands that of every tool), all
+  /// executing concurrently (--sched-threads=N). Requires: all
   /// helper-side counters atomic, and shadow state kept in the MT-safe
-  /// ShadowMap (or none at all). Tools that keep plain mutable state must
+  /// ShadowMap (or none at all); instrument() itself always runs under
+  /// the world lock. Tools that keep plain mutable state must
   /// leave this false — the core then clamps --sched-threads to 1.
   virtual bool supportsParallelGuests() const { return false; }
 

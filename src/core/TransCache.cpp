@@ -116,81 +116,29 @@ bool readWholeFile(const std::string &Path, std::vector<uint8_t> &Out) {
   return Got == Out.size();
 }
 
-} // namespace
-
-TransCache::TransCache(std::string DirIn, uint64_t MaxBytesIn,
-                       uint64_t ConfigHashIn)
-    : Dir(std::move(DirIn)), MaxBytes(MaxBytesIn), ConfigHash(ConfigHashIn) {
-  std::error_code EC;
-  fs::create_directories(Dir, EC);
-  for (const auto &DE : fs::directory_iterator(Dir, EC)) {
-    if (!DE.is_regular_file(EC) || DE.path().extension() != ".vgtc")
-      continue;
-    TotalBytes += static_cast<uint64_t>(DE.file_size(EC));
-  }
-}
-
-uint64_t TransCache::entryKey(uint32_t PC, bool Hot, uint64_t PrefixHash) {
-  uint8_t Seed[13];
-  for (int I = 0; I != 4; ++I)
-    Seed[I] = static_cast<uint8_t>(PC >> (8 * I));
-  Seed[4] = Hot ? 1 : 0;
-  for (int I = 0; I != 8; ++I)
-    Seed[5 + I] = static_cast<uint8_t>(PrefixHash >> (8 * I));
-  return fnv1a(Seed, sizeof(Seed));
-}
-
-uint64_t TransCache::configHash(
-    const std::string &ToolId,
-    const std::vector<std::pair<std::string, std::string>> &Options) {
-  uint64_t H = fnv1a(reinterpret_cast<const uint8_t *>(&TransCacheFormatVersion),
-                     sizeof(TransCacheFormatVersion));
-  H = fnv1a(reinterpret_cast<const uint8_t *>(ToolId.data()), ToolId.size(),
-            H);
-  for (const auto &[Name, Value] : Options) {
-    std::string Item = Name + "=" + Value + "\n";
-    H = fnv1a(reinterpret_cast<const uint8_t *>(Item.data()), Item.size(), H);
-  }
-  return H;
-}
-
-std::string TransCache::entryFileName(uint64_t ConfigHash, uint64_t Key) {
-  return hex16(ConfigHash) + "-" + hex16(Key) + ".vgtc";
-}
-
-std::string TransCache::entryPath(uint64_t Key) const {
-  return Dir + "/" + entryFileName(ConfigHash, Key);
-}
-
-TransCache::LoadResult TransCache::load(uint64_t Key, TransCacheEntry &Out) {
-  std::vector<uint8_t> File;
-  if (!readWholeFile(entryPath(Key), File))
-    return LoadResult::NotFound;
-  return decodeEntryFile(File, ConfigHash, Key, Out, /*ResolveCallees=*/true);
-}
-
-TransCache::LoadResult
-TransCache::decodeEntryFile(const std::vector<uint8_t> &File,
-                            uint64_t ConfigHash, uint64_t Key,
-                            TransCacheEntry &Out, bool ResolveCallees) {
+/// Validates and decodes a file image produced by encodeEntryFile,
+/// patching callee name indexes back to live pointers.
+TransCache::LoadResult decodeEntryFile(const std::vector<uint8_t> &File,
+                                       uint64_t ConfigHash, uint64_t Key,
+                                       TransCacheEntry &Out) {
   // A zero-length file is what an interrupted writer or an aggressive
   // truncation leaves behind. It must settle as Malformed (a reject) —
   // an entry that exists but carries no translation can never be a hit
   // candidate. Pinned by TransCacheTests.ZeroLengthEntryIsMalformed.
   if (File.empty() || File.size() < HeaderSize)
-    return LoadResult::Malformed;
+    return TransCache::LoadResult::Malformed;
   Cursor H{File.data(), HeaderSize};
   uint8_t M[4] = {H.u8(), H.u8(), H.u8(), H.u8()};
   if (std::memcmp(M, Magic, 4) != 0 || H.u32() != TransCacheFormatVersion ||
       H.u64() != ConfigHash || H.u64() != Key)
-    return LoadResult::Malformed;
+    return TransCache::LoadResult::Malformed;
   uint32_t PayloadLen = H.u32();
   uint64_t Checksum = H.u64();
   if (!H.Ok || File.size() != HeaderSize + PayloadLen)
-    return LoadResult::Malformed;
+    return TransCache::LoadResult::Malformed;
   const uint8_t *Payload = File.data() + HeaderSize;
   if (fnv1a(Payload, PayloadLen) != Checksum)
-    return LoadResult::Malformed;
+    return TransCache::LoadResult::Malformed;
 
   Cursor C{Payload, PayloadLen};
   TransCacheEntry E;
@@ -223,46 +171,33 @@ TransCache::decodeEntryFile(const std::vector<uint8_t> &File,
     C.Off += NBytes;
   }
   if (!C.Ok || C.Off != C.N || E.ChainTargets.size() != E.NumChainSlots)
-    return LoadResult::Malformed;
+    return TransCache::LoadResult::Malformed;
 
   // Re-walk the blob with the same decoder store() used, so a stored
   // entry whose bytes do not decode — or that somehow smuggled an
-  // unpatched field — can never reach the executor. The structural walk
-  // and index bounds checks always run; only the name -> live pointer
-  // patch is skipped for out-of-process validators (the server daemon,
-  // where this process's Callee addresses mean nothing).
+  // unpatched field — can never reach the executor.
   std::vector<uint32_t> Slots;
   if (!hvm::findCalleeSlots(E.Bytes, Slots))
-    return LoadResult::Malformed;
+    return TransCache::LoadResult::Malformed;
   for (uint32_t Off : Slots) {
     uint64_t Idx = readFieldU64(E.Bytes.data() + Off);
     if (Idx >= Names.size())
-      return LoadResult::Malformed;
-    if (!ResolveCallees)
-      continue;
+      return TransCache::LoadResult::Malformed;
     const ir::Callee *Callee = ir::findCalleeByName(Names[Idx]);
-    if (!Callee)
-      return LoadResult::Malformed; // helper unknown to this process
+    if (!Callee) // helper unknown to this process
+      return TransCache::LoadResult::Malformed;
     writeFieldU64(E.Bytes.data() + Off,
                   static_cast<uint64_t>(reinterpret_cast<uintptr_t>(Callee)));
   }
 
   Out = std::move(E);
-  return LoadResult::Found;
+  return TransCache::LoadResult::Found;
 }
 
-bool TransCache::store(uint64_t Key, const TransCacheEntry &E) {
-  std::vector<uint8_t> File;
-  if (!encodeEntryFile(ConfigHash, Key, E, File)) {
-    ++WriteFailures;
-    return false;
-  }
-  return storeFile(Key, File);
-}
-
-bool TransCache::encodeEntryFile(uint64_t ConfigHash, uint64_t Key,
-                                 const TransCacheEntry &E,
-                                 std::vector<uint8_t> &File) {
+/// Serializes \p E into the complete on-disk file image (header +
+/// checksummed payload). False when the entry cannot leave the process.
+bool encodeEntryFile(uint64_t ConfigHash, uint64_t Key,
+                     const TransCacheEntry &E, std::vector<uint8_t> &File) {
   // Make the blob position-independent: every CALL's pointer field becomes
   // an index into the serialized name table.
   std::vector<uint32_t> Slots;
@@ -320,7 +255,65 @@ bool TransCache::encodeEntryFile(uint64_t ConfigHash, uint64_t Key,
   return true;
 }
 
-bool TransCache::storeFile(uint64_t Key, const std::vector<uint8_t> &File) {
+} // namespace
+
+TransCache::TransCache(std::string DirIn, uint64_t MaxBytesIn,
+                       uint64_t ConfigHashIn)
+    : Dir(std::move(DirIn)), MaxBytes(MaxBytesIn), ConfigHash(ConfigHashIn) {
+  std::error_code EC;
+  fs::create_directories(Dir, EC);
+  for (const auto &DE : fs::directory_iterator(Dir, EC)) {
+    if (!DE.is_regular_file(EC) || DE.path().extension() != ".vgtc")
+      continue;
+    TotalBytes += static_cast<uint64_t>(DE.file_size(EC));
+  }
+}
+
+uint64_t TransCache::entryKey(uint32_t PC, bool Hot, uint64_t PrefixHash) {
+  uint8_t Seed[13];
+  for (int I = 0; I != 4; ++I)
+    Seed[I] = static_cast<uint8_t>(PC >> (8 * I));
+  Seed[4] = Hot ? 1 : 0;
+  for (int I = 0; I != 8; ++I)
+    Seed[5 + I] = static_cast<uint8_t>(PrefixHash >> (8 * I));
+  return fnv1a(Seed, sizeof(Seed));
+}
+
+uint64_t TransCache::configHash(
+    const std::string &ToolId,
+    const std::vector<std::pair<std::string, std::string>> &Options) {
+  uint64_t H = fnv1a(reinterpret_cast<const uint8_t *>(&TransCacheFormatVersion),
+                     sizeof(TransCacheFormatVersion));
+  H = fnv1a(reinterpret_cast<const uint8_t *>(ToolId.data()), ToolId.size(),
+            H);
+  for (const auto &[Name, Value] : Options) {
+    std::string Item = Name + "=" + Value + "\n";
+    H = fnv1a(reinterpret_cast<const uint8_t *>(Item.data()), Item.size(), H);
+  }
+  return H;
+}
+
+std::string TransCache::entryPath(uint64_t Key) const {
+  return Dir + "/" + hex16(ConfigHash) + "-" + hex16(Key) + ".vgtc";
+}
+
+TransCache::LoadResult TransCache::load(uint64_t Key, TransCacheEntry &Out) {
+  std::vector<uint8_t> File;
+  if (!readWholeFile(entryPath(Key), File))
+    return LoadResult::NotFound;
+  return decodeEntryFile(File, ConfigHash, Key, Out);
+}
+
+bool TransCache::store(uint64_t Key, const TransCacheEntry &E) {
+  std::vector<uint8_t> File;
+  if (!encodeEntryFile(ConfigHash, Key, E, File)) {
+    ++WriteFailures;
+    return false;
+  }
+  return publish(Key, File);
+}
+
+bool TransCache::publish(uint64_t Key, const std::vector<uint8_t> &File) {
   std::string Path = entryPath(Key);
   std::error_code EC;
   uint64_t OldSize = static_cast<uint64_t>(fs::file_size(Path, EC));
@@ -392,7 +385,7 @@ void TransCache::evictToFit(uint64_t NeedBytes) {
   }
 }
 
-void PoisonSet::poison(uint32_t Addr, uint32_t Len) {
+void TransCache::poison(uint32_t Addr, uint32_t Len) {
   if (Len == 0)
     return;
   // 64-bit exclusive end: Addr + Len may legitimately equal 2^32 (a range
@@ -400,27 +393,18 @@ void PoisonSet::poison(uint32_t Addr, uint32_t Len) {
   // byte 0xFFFFFFFF rather than being clipped or wrapping.
   uint64_t Hi = std::min<uint64_t>(static_cast<uint64_t>(Addr) + Len,
                                    0x100000000ull);
-  Ranges.push_back({Addr, Hi});
+  PoisonRanges.push_back({Addr, Hi});
 }
 
-bool PoisonSet::poisoned(
-    const std::vector<std::pair<uint32_t, uint32_t>> &Extents) const {
-  if (All)
-    return !Extents.empty();
-  for (auto [Lo, Hi] : Extents)
-    for (auto [PLo, PHi] : Ranges)
-      if (Lo < PHi && PLo < Hi)
-        return true;
-  return false;
-}
-
-void TransCache::poison(uint32_t Addr, uint32_t Len) {
-  Poison.poison(Addr, Len);
-}
-
-void TransCache::poisonAll() { Poison.poisonAll(); }
+void TransCache::poisonAll() { PoisonedAll = true; }
 
 bool TransCache::poisoned(
     const std::vector<std::pair<uint32_t, uint32_t>> &Extents) const {
-  return Poison.poisoned(Extents);
+  if (PoisonedAll)
+    return !Extents.empty();
+  for (auto [Lo, Hi] : Extents)
+    for (auto [PLo, PHi] : PoisonRanges)
+      if (Lo < PHi && PLo < Hi)
+        return true;
+  return false;
 }

@@ -10,9 +10,9 @@
 /// Safety is by construction, not by trust in the directory contents:
 ///
 ///  - The cache key includes a hash of the live guest bytes at the entry
-///    PC, and a loaded entry is only ever installed after the same
-///    hashLive(Extents) == CodeHash check the asynchronous promotion path
-///    performs — different code at the same address can never be served.
+///    PC, and a loaded entry is only ever installed after a
+///    hashLive(Extents) == CodeHash check — different code at the same
+///    address can never be served.
 ///  - Encoded blobs embed raw host Callee pointers (HOp::CALL), which are
 ///    meaningless across processes. store() rewrites every callee field
 ///    into an index into a serialized name table; load() resolves the
@@ -35,8 +35,8 @@
 /// the run. On-disk entries are content-keyed, so they need no versioning
 /// across runs: a future run installs its own redirects and re-poisons.
 ///
-/// All methods are guest-thread-only (the workers never touch the cache),
-/// which is what keeps --jit-threads=N with --tt-cache race-free.
+/// All methods run at dispatch boundaries under the big lock, like the
+/// rest of the translation service.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_CORE_TRANSCACHE_H
@@ -52,25 +52,6 @@ namespace vg {
 /// Bump on any change to the entry layout or to anything that alters
 /// generated code without being captured by the option fingerprint.
 constexpr uint32_t TransCacheFormatVersion = 1;
-
-/// Same-run semantic-invalidation ranges. Redirects, unmaps, and TT
-/// flushes change what an address *means* without changing its bytes, so
-/// content checks cannot catch them; every invalidateRange poisons here
-/// and a hit whose extents intersect is rejected for the rest of the run.
-/// Shared by TransCache (--tt-cache) and by the server-only client path
-/// (--tt-server without a local cache directory).
-struct PoisonSet {
-  /// [lo, hi) ranges; hi is 64-bit so a range reaching the top of the
-  /// guest space covers byte 0xFFFFFFFF (hi == 2^32) instead of being
-  /// clipped one byte short.
-  std::vector<std::pair<uint32_t, uint64_t>> Ranges;
-  bool All = false; ///< whole-space poison (full TT flush)
-
-  void poison(uint32_t Addr, uint32_t Len);
-  void poisonAll() { All = true; }
-  bool poisoned(
-      const std::vector<std::pair<uint32_t, uint32_t>> &Extents) const;
-};
 
 /// One translation in its process-independent form. Bytes hold callee
 /// *name indexes* on disk; load() returns them patched back to live
@@ -122,39 +103,6 @@ public:
   /// without persisting that translation.
   bool store(uint64_t Key, const TransCacheEntry &E);
 
-  /// Serializes \p E into the complete on-disk file image (header +
-  /// checksummed payload) under (\p ConfigHash, \p Key). Callee pointers
-  /// are rewritten into name-table indexes, so the image is position- and
-  /// process-independent — the form that crosses the translation-server
-  /// wire. False when the entry cannot leave the process.
-  static bool encodeEntryFile(uint64_t ConfigHash, uint64_t Key,
-                              const TransCacheEntry &E,
-                              std::vector<uint8_t> &File);
-
-  /// Validates and decodes a file image produced by encodeEntryFile — the
-  /// byte-level half of load(), shared with the translation-server client
-  /// (which receives images over a socket instead of from disk) and the
-  /// server daemon (which validates PUT payloads before storing them).
-  /// A zero-length or truncated image is Malformed, never a hit candidate.
-  /// \p ResolveCallees patches name indexes back to live pointers (what an
-  /// installing client needs); the daemon passes false — pointers are
-  /// meaningless in its process, but the structural walk, bounds checks,
-  /// and checksum still run.
-  static LoadResult decodeEntryFile(const std::vector<uint8_t> &File,
-                                    uint64_t ConfigHash, uint64_t Key,
-                                    TransCacheEntry &Out,
-                                    bool ResolveCallees);
-
-  /// Atomically publishes a pre-encoded file image under \p Key — the
-  /// write-through path for validated server-fetched entries. Honours the
-  /// size budget exactly like store().
-  bool storeFile(uint64_t Key, const std::vector<uint8_t> &File);
-
-  /// The filename an entry lives under: hex16(config)-hex16(key).vgtc.
-  /// Shared with the server daemon so a server directory IS a cache
-  /// directory (a cold run's --tt-cache output can be served directly).
-  static std::string entryFileName(uint64_t ConfigHash, uint64_t Key);
-
   /// Marks [Addr, Addr+Len) semantically invalid for the rest of this
   /// run: redirects and unmaps change what an address *means* without
   /// changing its bytes, so the content checks cannot catch them.
@@ -172,15 +120,14 @@ public:
   std::string entryPath(uint64_t Key) const;
 
   const std::string &dir() const { return Dir; }
-  uint64_t configHashValue() const { return ConfigHash; }
   uint64_t totalBytes() const { return TotalBytes; }
   uint64_t evictedFiles() const { return EvictedFiles; }
   uint64_t writeFailures() const { return WriteFailures; }
-  /// Accounts an encode failure detected by a caller that serializes
-  /// through encodeEntryFile directly (the service's shared write-back).
-  void noteWriteFailure() { ++WriteFailures; }
 
 private:
+  /// Atomically publishes an encoded file image under \p Key, honouring
+  /// the size budget.
+  bool publish(uint64_t Key, const std::vector<uint8_t> &File);
   void evictToFit(uint64_t NeedBytes);
 
   std::string Dir;
@@ -189,7 +136,11 @@ private:
   uint64_t TotalBytes = 0; ///< current on-disk usage of this config's entries
   uint64_t EvictedFiles = 0;
   uint64_t WriteFailures = 0;
-  PoisonSet Poison; ///< same-run semantic invalidation
+  /// Same-run semantic invalidation: [lo, hi) ranges, hi 64-bit so a
+  /// range reaching the top of the guest space covers byte 0xFFFFFFFF
+  /// (hi == 2^32) instead of being clipped one byte short.
+  std::vector<std::pair<uint32_t, uint64_t>> PoisonRanges;
+  bool PoisonedAll = false; ///< whole-space poison (full TT flush)
 };
 
 } // namespace vg

@@ -160,7 +160,6 @@ void TransTab::rehash() {
 }
 
 unsigned TransTab::invalidateRange(uint32_t Addr, uint32_t Len) {
-  FlushEpoch.fetch_add(1, std::memory_order_release);
   // End as a 64-bit bound: a range reaching the top of the guest space
   // (Addr + Len == 2^32) must cover the final byte 0xFFFFFFFF rather than
   // wrapping to 0 and matching nothing.
@@ -182,7 +181,6 @@ unsigned TransTab::invalidateRange(uint32_t Addr, uint32_t Len) {
 }
 
 void TransTab::invalidateAll() {
-  FlushEpoch.fetch_add(1, std::memory_order_release);
   for (size_t I = 0; I != Slots.size(); ++I)
     if (Slots[I].St == Slot::State::Full)
       eraseSlot(I);

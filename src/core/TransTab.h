@@ -70,15 +70,9 @@ struct Translation {
   /// Tier 1 only: do not re-attempt trace formation until ExecCount
   /// reaches this (backoff after an unbiased chain graph or a failed
   /// stitch). 0 = eligible immediately once over the trace threshold.
-  /// Relaxed-atomic: written under the world lock (drain/backoff), read by
-  /// the lock-free trace gate in every shard's dispatch loop.
+  /// Relaxed-atomic: written under the world lock (backoff), read by the
+  /// lock-free trace gate in every shard's dispatch loop.
   std::atomic<uint64_t> TraceRetryAt{0};
-  /// An asynchronous hot promotion of this address is in flight (queued or
-  /// being translated). Stops the dispatcher and the chain thunk from
-  /// re-requesting promotion on every execution while the worker runs;
-  /// written under the world lock, read lock-free by the promotion gates.
-  /// Always false when --jit-threads=0.
-  std::atomic<bool> PromoPending{false};
   /// The blob is position-independent (no SMC-check prelude, which embeds
   /// this Translation's own address as an immediate), so it may be served
   /// from or written to the persistent translation cache. Decided by the
@@ -94,9 +88,9 @@ struct Translation {
   /// thunk on every chained transfer out of this translation. True edge
   /// profiles: trace formation follows the dominant *edge*, which a
   /// successor's ExecCount cannot substitute for when the successor has
-  /// other predecessors. Relaxed-atomic: the guest thread bumped these
-  /// while --jit-threads workers read them for trace-path selection — a
-  /// pre-existing data race now pinned by MtSchedTests under TSan.
+  /// other predecessors. Relaxed-atomic: every shard's chain thunk bumps
+  /// them lock-free while the world-lock holder reads them for trace-path
+  /// selection (pinned by MtSchedTests under TSan).
   std::vector<std::atomic<uint64_t>> EdgeExecs;
   /// Back-edges: one entry per filled chain slot pointing at this
   /// translation (duplicates allowed when a predecessor has several slots
@@ -174,15 +168,6 @@ public:
   /// shard fast caches may validate without taking the world lock.
   uint64_t generation() const { return Gen.load(std::memory_order_relaxed); }
 
-  /// Flush-epoch counter: bumped only by invalidateRange/invalidateAll
-  /// (never by capacity eviction). The translation service stamps each
-  /// async job with the epoch at enqueue time and discards the result if
-  /// the epoch moved — the guest code the job translated from may have
-  /// been redirected or unmapped even when the bytes still hash equal.
-  uint64_t flushEpoch() const {
-    return FlushEpoch.load(std::memory_order_relaxed);
-  }
-
   /// Deferred reclamation (sharded scheduler): when set, eraseSlot hands
   /// the evicted translation to this hook instead of destroying it, so the
   /// core can park it in an epoch-stamped limbo list until every shard has
@@ -235,7 +220,6 @@ private:
   size_t Count = 0;
   uint64_t NextSeq = 0;
   std::atomic<uint64_t> Gen{0};
-  std::atomic<uint64_t> FlushEpoch{0};
   std::function<void(std::unique_ptr<Translation>)> RetireFn;
   /// target guest address -> (translation, slot) pairs waiting for a
   /// translation of that address to appear.

@@ -9,43 +9,10 @@
 #include "support/Errors.h"
 
 #include <algorithm>
-#include <chrono>
 
 using namespace vg;
 
 namespace {
-
-/// RAII phase timer with two optional sinks: the (guest-thread-only)
-/// Profiler and a thread-private PhaseTimes. Background workers pass only
-/// the latter; the guest thread merges it at install time.
-class PhaseTimer {
-public:
-  PhaseTimer(Profiler *Prof, PhaseTimes *Out, ProfPhase Ph)
-      : Prof(Prof), Out(Out), Ph(Ph),
-        T0((Prof || Out) ? now() : 0) {}
-  ~PhaseTimer() {
-    if (!Prof && !Out)
-      return;
-    double S = now() - T0;
-    if (Prof)
-      Prof->notePhase(Ph, S);
-    if (Out)
-      Out->add(Ph, S);
-  }
-  PhaseTimer(const PhaseTimer &) = delete;
-  PhaseTimer &operator=(const PhaseTimer &) = delete;
-
-private:
-  static double now() {
-    using Clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(Clock::now().time_since_epoch())
-        .count();
-  }
-  Profiler *Prof;
-  PhaseTimes *Out;
-  ProfPhase Ph;
-  double T0;
-};
 
 void verifyIR(const ir::IRSB &SB, bool Flat, const char *Phase) {
   std::string Diag = SB.typecheck(Flat);
@@ -72,14 +39,13 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
                                    TranslationArtifacts *Art) {
   const ir::SpecFn Spec = Opts.Spec ? Opts.Spec : vg1SpecFn();
   Profiler *Prof = Opts.Prof;
-  PhaseTimes *Out = Opts.PhaseOut;
 
   const bool IsTrace = !Opts.Trace.Entries.empty();
 
   // Phase 1: disassembly.
   DisasmResult Dis;
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::Disasm);
+    Profiler::Timer Tm(Prof, ProfPhase::Disasm);
     Dis = IsTrace ? disassembleTrace(Opts.Trace, Fetch, Opts.Frontend)
                   : disassembleSB(Addr, Fetch, Opts.Frontend);
   }
@@ -124,7 +90,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   // Phase 2: flatten + optimisation 1.
   std::unique_ptr<ir::IRSB> SB;
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::Optimise1);
+    Profiler::Timer Tm(Prof, ProfPhase::Optimise1);
     SB = ir::flatten(*Dis.SB);
     if (Opts.RunOptimise1)
       ir::optimise1(*SB, Spec, Opts.Preserve, TC);
@@ -134,14 +100,10 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   if (Art)
     Art->FlatIR = ir::toString(*SB, ir::vg1OffsetName);
 
-  // Phase 3: instrumentation (the tool plug-in). Tools are stateful, so
-  // concurrent pipelines for the same tool serialise here.
+  // Phase 3: instrumentation (the tool plug-in).
   if (Opts.Instrument) {
     {
-      std::unique_lock<std::mutex> ToolLock;
-      if (Opts.InstrumentLock)
-        ToolLock = std::unique_lock<std::mutex>(*Opts.InstrumentLock);
-      PhaseTimer Tm(Prof, Out, ProfPhase::Instrument);
+      Profiler::Timer Tm(Prof, ProfPhase::Instrument);
       Opts.Instrument(*SB);
     }
     if (Opts.Verify)
@@ -155,7 +117,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
 
   // Phase 4: optimisation 2.
   if (Opts.RunOptimise2) {
-    PhaseTimer Tm(Prof, Out, ProfPhase::Optimise2);
+    Profiler::Timer Tm(Prof, ProfPhase::Optimise2);
     ir::optimise2(*SB, Spec, Opts.Preserve, TC);
   }
   if (Opts.Verify)
@@ -167,7 +129,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
 
   // Phase 5: tree building.
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::TreeBuild);
+    Profiler::Timer Tm(Prof, ProfPhase::TreeBuild);
     ir::buildTrees(*SB);
   }
   if (Opts.Verify)
@@ -178,7 +140,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   // Phase 6: instruction selection.
   hvm::HostCode Host;
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::ISel);
+    Profiler::Timer Tm(Prof, ProfPhase::ISel);
     Host = hvm::selectInstructions(*SB);
   }
   if (Art)
@@ -187,7 +149,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   // Phase 7: register allocation.
   unsigned Coalesced;
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::RegAlloc);
+    Profiler::Timer Tm(Prof, ProfPhase::RegAlloc);
     Coalesced = hvm::allocateRegisters(Host);
   }
   if (Art) {
@@ -210,7 +172,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   // Phase 8: assembly.
   TranslatedBlock TB;
   {
-    PhaseTimer Tm(Prof, Out, ProfPhase::Encode);
+    Profiler::Timer Tm(Prof, ProfPhase::Encode);
     TB.Blob.Bytes = hvm::encode(Host);
   }
   TB.Blob.NumSpillSlots = Host.NumSpillSlots;

@@ -24,7 +24,6 @@
 #include "hvm/Exec.h"
 #include "support/Profile.h"
 
-#include <mutex>
 #include <string>
 
 namespace vg {
@@ -44,16 +43,7 @@ struct TranslationOptions {
   /// SP offset when a tool wants stack events, R7).
   ir::PreservedPuts Preserve;
   /// When set (--profile), each phase's wall time is recorded here.
-  /// Guest-thread pipelines only: the Profiler is not thread-safe.
   Profiler *Prof = nullptr;
-  /// Thread-private phase-time sink for background workers. When both this
-  /// and Prof are set, samples land in both.
-  PhaseTimes *PhaseOut = nullptr;
-  /// Serialises Phase 3 across concurrent pipelines. Tools are stateful
-  /// (Memcheck origin pools, Cachegrind cost centres), so when translation
-  /// runs on worker threads every Instrument call for the same tool must
-  /// hold this lock. Null for the single-threaded pipeline.
-  std::mutex *InstrumentLock = nullptr;
   /// Tier 2: when Trace.Entries is non-empty, Phase 1 stitches the hot
   /// path into one superblock (disassembleTrace) and Phases 2/4 run the
   /// cross-seam optimisations — flag liveness across guarded side exits

@@ -13,17 +13,11 @@ TranslationService::TranslationService(TranslationHost &Host,
                                        size_t TTCapacityPow2)
     : Host(Host), Memory(Memory), TT(TTCapacityPow2) {}
 
-TranslationService::~TranslationService() { shutdown(); }
-
 double TranslationService::now() {
   using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(Clock::now().time_since_epoch())
       .count();
 }
-
-//===----------------------------------------------------------------------===//
-// The synchronous pipeline (the only pipeline when --jit-threads=0)
-//===----------------------------------------------------------------------===//
 
 void TranslationService::fillTranslation(Translation &T, uint32_t PC,
                                          bool Hot, TranslatedBlock TB) {
@@ -62,25 +56,6 @@ uint64_t TranslationService::hashLive(
   return H;
 }
 
-uint64_t TranslationService::hashSnapshot(
-    const GuestMemory::ExecSnapshot &Snap,
-    const std::vector<std::pair<uint32_t, uint32_t>> &Extents, bool &Ok) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (auto [Lo, Hi] : Extents) {
-    for (uint32_t A = Lo; A != Hi; ++A) {
-      uint8_t B = 0;
-      if (!Snap.fetch(A, &B, 1)) {
-        Ok = false;
-        return 0;
-      }
-      H ^= B;
-      H *= 0x100000001b3ULL;
-    }
-  }
-  Ok = true;
-  return H;
-}
-
 uint64_t TranslationService::cachePrefixHash(uint32_t PC) const {
   uint64_t H = 0xcbf29ce484222325ULL;
   for (uint32_t I = 0; I != 64; ++I) {
@@ -96,99 +71,38 @@ uint64_t TranslationService::cachePrefixHash(uint32_t PC) const {
 unsigned TranslationService::invalidate(uint32_t Addr, uint32_t Len) {
   if (Cache)
     Cache->poison(Addr, Len);
-  else if (Server)
-    ServerPoison.poison(Addr, Len);
-  if (Server)
-    Server->poison(ServerCfg, Addr, Len); // daemon eviction, best-effort
   return TT.invalidateRange(Addr, Len);
 }
 
 unsigned TranslationService::invalidateAll() {
   if (Cache)
     Cache->poisonAll();
-  else if (Server)
-    ServerPoison.poisonAll();
-  if (Server)
-    Server->poisonAll(ServerCfg); // best-effort
   unsigned N = static_cast<unsigned>(TT.size());
   TT.invalidateAll();
   return N;
 }
 
-TransCache::LoadResult
-TranslationService::loadFromServer(uint64_t Key, TransCacheEntry &E,
-                                   std::vector<uint8_t> &Image,
-                                   bool &FromServer) {
-  double T0 = now();
-  ++JS.ServerRequests;
-  TransServerClient::CallStats CS;
-  TransServerClient::FetchResult FR = Server->get(ServerCfg, Key, Image, &CS);
-  JS.ServerRetries += CS.Retries;
-  JS.ServerTimeouts += CS.Timeouts;
-  JS.ServerFetchSeconds += now() - T0;
-  switch (FR) {
-  case TransServerClient::FetchResult::Failed:
-    // Timeout / EOF / malformed frame / dead-latched daemon: the ladder's
-    // degrade rung. Indistinguishable from a miss above here — the caller
-    // falls through to the inline pipeline, never stalls.
-    ++JS.ServerFallbacks;
-    return TransCache::LoadResult::NotFound;
-  case TransServerClient::FetchResult::Miss:
-    ++JS.ServerMisses;
-    return TransCache::LoadResult::NotFound;
-  case TransServerClient::FetchResult::Hit:
-    break;
-  }
-  FromServer = true;
-  JS.ServerBytesFetched += Image.size();
-  // The socket adds no trust: the image runs through exactly the decode a
-  // local --tt-cache file gets (header, checksum, callee resolution), and
-  // the caller still applies the live-hash and poison gauntlet on top.
-  return TransCache::decodeEntryFile(Image, ServerCfg, Key, E,
-                                     /*ResolveCallees=*/true);
-}
-
 Translation *
 TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
-                                     uint64_t Key, uint32_t PC, bool Hot,
-                                     bool Promotion) {
+                                     uint64_t Key, uint32_t PC, bool Hot) {
   double T0 = now();
   TransCacheEntry E;
-  TransCache::LoadResult R = TransCache::LoadResult::NotFound;
-  if (Cache)
-    R = Cache->load(Key, E);
-  // The daemon is strictly behind the local cache: consulted only when no
-  // local entry exists at all (a local Malformed entry is a reject, not a
-  // licence to try the network).
-  bool FromServer = false;
-  std::vector<uint8_t> ServerImage;
-  if (R == TransCache::LoadResult::NotFound && Server)
-    R = loadFromServer(Key, E, ServerImage, FromServer);
+  TransCache::LoadResult R = Cache->load(Key, E);
   if (R == TransCache::LoadResult::NotFound) {
     ++JS.CacheMisses;
     JS.CacheLoadSeconds += now() - T0;
     return nullptr;
   }
-  // Found entries still run the gauntlet the async install path defined:
-  // the live guest bytes must hash to what the entry was translated from,
-  // and no same-run invalidation (redirect/unmap/flush) may have poisoned
-  // the range. Anything else is a reject — fall through to the pipeline.
+  // Found entries still run the gauntlet: the live guest bytes must hash
+  // to what the entry was translated from, and no same-run invalidation
+  // (redirect/unmap/flush) may have poisoned the range. Anything else is a
+  // reject — fall through to the pipeline.
   if (R == TransCache::LoadResult::Malformed || E.Addr != PC ||
       E.Tier != (Hot ? 1 : 0) || E.Extents.empty() ||
-      hashLive(E.Extents) != E.CodeHash || poisonedExtents(E.Extents)) {
+      hashLive(E.Extents) != E.CodeHash || Cache->poisoned(E.Extents)) {
     ++JS.CacheRejects;
-    if (FromServer)
-      ++JS.ServerRejects;
     JS.CacheLoadSeconds += now() - T0;
     return nullptr;
-  }
-  if (FromServer) {
-    ++JS.ServerHits;
-    // Write-through AFTER the full gauntlet passed, using the pristine
-    // file image (decode patches callee indexes to live pointers in its
-    // own copy; the image on disk must keep the indexes).
-    if (Cache)
-      Cache->storeFile(Key, ServerImage);
   }
 
   Translation *Raw = TPtr.get();
@@ -207,14 +121,8 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
   ++JS.CacheHits;
   double Seconds = now() - T0;
   JS.CacheLoadSeconds += Seconds;
-  uint64_t GenBefore = TT.generation();
   Host.noteTranslation(PC, *Raw, Seconds);
-  Translation *NT = TT.insert(std::move(TPtr));
-  if (Promotion) {
-    NT->PromoPending = false;
-    Host.promotionInstalled(NT, GenBefore);
-  }
-  return NT;
+  return TT.insert(std::move(TPtr));
 }
 
 void TranslationService::writeBackToCache(uint64_t Key, const Translation &T) {
@@ -229,30 +137,21 @@ void TranslationService::writeBackToCache(uint64_t Key, const Translation &T) {
   E.NumChainSlots = T.Blob.NumChainSlots;
   E.ChainTargets = T.Blob.ChainTargets;
   E.Bytes = T.Blob.Bytes;
-  // One encode feeds both sinks: the local cache file and the daemon PUT
-  // carry byte-identical images, so a future client fetching this entry
-  // re-validates exactly what a local warm run would read.
-  uint64_t CH = Cache ? Cache->configHashValue() : ServerCfg;
-  std::vector<uint8_t> File;
-  if (!TransCache::encodeEntryFile(CH, Key, E, File)) {
-    if (Cache)
-      Cache->noteWriteFailure();
-    JS.CacheStoreSeconds += now() - T0;
-    return;
-  }
-  if (Cache && Cache->storeFile(Key, File))
+  if (Cache->store(Key, E))
     ++JS.CacheWrites;
-  if (Server) {
-    TransServerClient::CallStats CS;
-    bool Ok = Server->put(ServerCfg, Key, File, &CS);
-    JS.ServerRetries += CS.Retries;
-    JS.ServerTimeouts += CS.Timeouts;
-    if (Ok) {
-      ++JS.ServerWrites;
-      JS.ServerBytesSent += File.size();
-    }
-  }
   JS.CacheStoreSeconds += now() - T0;
+}
+
+TranslatedBlock TranslationService::runPipeline(uint32_t PC,
+                                                const TranslationOptions &TO) {
+  FetchFn Fetch = [this](uint32_t Addr, uint8_t *Buf,
+                         uint32_t MaxLen) -> uint32_t {
+    uint32_t N = 0;
+    while (N < MaxLen && !Memory.fetch(Addr + N, Buf + N, 1).Faulted)
+      ++N;
+    return N;
+  };
+  return translateBlock(PC, Fetch, TO);
 }
 
 Translation *TranslationService::translateSync(uint32_t PC, bool Hot) {
@@ -263,36 +162,27 @@ Translation *TranslationService::translateSync(uint32_t PC, bool Hot) {
   Host.setupTranslation(TO, PC, Hot, Raw);
 
   // The persistent cache sits in front of the pipeline. Eligibility
-  // (Raw->Cacheable) was just decided by setupTranslation on this thread,
-  // so position-dependent blobs (SMC prelude) never consult the disk.
+  // (Raw->Cacheable) was just decided by setupTranslation, so
+  // position-dependent blobs (SMC prelude) never consult the disk.
   uint64_t Key = 0;
-  bool UseCache = (Cache || Server) && Raw->Cacheable;
+  bool UseCache = Cache && Raw->Cacheable;
   if (UseCache) {
     Key = TransCache::entryKey(PC, Hot, cachePrefixHash(PC));
-    if (Translation *T = installFromCache(TPtr, Key, PC, Hot,
-                                          /*Promotion=*/false))
+    if (Translation *T = installFromCache(TPtr, Key, PC, Hot))
       return T;
   }
-
-  FetchFn Fetch = [this](uint32_t Addr, uint8_t *Buf,
-                         uint32_t MaxLen) -> uint32_t {
-    uint32_t N = 0;
-    while (N < MaxLen && !Memory.fetch(Addr + N, Buf + N, 1).Faulted)
-      ++N;
-    return N;
-  };
 
   // Timed unconditionally (not just under --profile): CoreStats carries
   // the total so the warm-start bench can compare pipeline time against
   // cache-load time. Two clock reads per translation is noise next to the
   // eight-phase pipeline they bracket.
   double T0 = now();
-  TranslatedBlock TB = translateBlock(PC, Fetch, TO);
+  TranslatedBlock TB = runPipeline(PC, TO);
   fillTranslation(*Raw, PC, Hot, std::move(TB));
   Raw->CodeHash = hashLive(Raw->Extents);
   Host.noteTranslation(PC, *Raw, now() - T0);
   Translation *Res = TT.insert(std::move(TPtr));
-  if (UseCache && !poisonedExtents(Res->Extents))
+  if (UseCache && !Cache->poisoned(Res->Extents))
     writeBackToCache(Key, *Res);
   return Res;
 }
@@ -312,16 +202,8 @@ Translation *TranslationService::translateTrace(const TraceSpec &Spec) {
   Host.setupTranslation(TO, PC, /*Hot=*/true, Raw);
   ++JS.TraceRequests;
 
-  FetchFn Fetch = [this](uint32_t Addr, uint8_t *Buf,
-                         uint32_t MaxLen) -> uint32_t {
-    uint32_t N = 0;
-    while (N < MaxLen && !Memory.fetch(Addr + N, Buf + N, 1).Faulted)
-      ++N;
-    return N;
-  };
-
   double T0 = now();
-  TranslatedBlock TB = translateBlock(PC, Fetch, TO);
+  TranslatedBlock TB = runPipeline(PC, TO);
   if (TB.SpillOverflow) {
     ++JS.TraceAborts;
     return nullptr; // keep running the constituent tier-1 blocks
@@ -334,275 +216,6 @@ Translation *TranslationService::translateTrace(const TraceSpec &Spec) {
   uint64_t GenBefore = TT.generation();
   Translation *Res = TT.insert(std::move(TPtr));
   ++JS.TraceInstalled;
-  Host.promotionInstalled(Res, GenBefore);
+  Host.traceInstalled(Res, GenBefore);
   return Res;
-}
-
-Translation *TranslationService::promoteFromCache(uint32_t PC) {
-  if (!Cache && !Server)
-    return nullptr;
-  auto TPtr = std::make_unique<Translation>();
-  TranslationOptions TO;
-  Host.setupTranslation(TO, PC, /*Hot=*/true, TPtr.get());
-  if (!TPtr->Cacheable)
-    return nullptr;
-  uint64_t Key = TransCache::entryKey(PC, /*Hot=*/true, cachePrefixHash(PC));
-  return installFromCache(TPtr, Key, PC, /*Hot=*/true, /*Promotion=*/true);
-}
-
-//===----------------------------------------------------------------------===//
-// The asynchronous promotion pipeline
-//===----------------------------------------------------------------------===//
-
-void TranslationService::configure(unsigned Threads, unsigned Depth) {
-  if (Threads == 0 || !Workers.empty())
-    return;
-  QueueDepth = Depth ? Depth : 1;
-  Workers.reserve(Threads);
-  for (unsigned I = 0; I != Threads; ++I) {
-    try {
-      Workers.emplace_back([this] { workerMain(); });
-    } catch (...) {
-      break; // keep whatever workers did start
-    }
-  }
-  NumThreads = static_cast<unsigned>(Workers.size());
-}
-
-void TranslationService::shutdown() {
-  if (Stopped)
-    return;
-  Stopped = true;
-  if (Workers.empty())
-    return;
-  {
-    std::lock_guard<std::mutex> L(QueueMu);
-    Stop = true;
-  }
-  QueueCV.notify_all();
-  for (std::thread &W : Workers)
-    W.join();
-  Workers.clear();
-  // Whatever never made it into the table is abandoned: jobs still queued,
-  // plus completed jobs nobody will drain. (Workers pushed their final
-  // jobs to the done list before joining, so the two buckets are exact.)
-  JS.AsyncAbandoned += Queue.size();
-  Queue.clear();
-  {
-    std::lock_guard<std::mutex> L(DoneMu);
-    JS.AsyncAbandoned += Done.size();
-    Done.clear();
-    DoneCount.store(0, std::memory_order_relaxed);
-  }
-}
-
-std::shared_ptr<const GuestMemory::ExecSnapshot>
-TranslationService::snapshotForEpoch(uint32_t Addr, uint64_t Epoch) {
-  // Rebuild when the epoch moved or the block lives in exec pages mapped
-  // after the cached snapshot was taken (same epoch — a plain mmap
-  // invalidates nothing).
-  uint8_t Probe = 0;
-  if (!SnapCache || SnapCacheEpoch != Epoch ||
-      !SnapCache->fetch(Addr, &Probe, 1)) {
-    SnapCache = std::make_shared<GuestMemory::ExecSnapshot>(
-        Memory.snapshotExecRanges());
-    SnapCacheEpoch = Epoch;
-  }
-  return SnapCache;
-}
-
-bool TranslationService::submitJob(std::unique_ptr<Job> J, Translation *Cur,
-                                   double T0) {
-  {
-    std::lock_guard<std::mutex> L(QueueMu);
-    if (Stop)
-      return false;
-    if (Queue.size() >= QueueDepth) {
-      ++JS.QueueFullFallbacks;
-      return false; // backpressure: caller promotes inline
-    }
-    Queue.push_back(std::move(J));
-    JS.QueueHighWater =
-        std::max<uint64_t>(JS.QueueHighWater, Queue.size());
-  }
-  QueueCV.notify_one();
-  Cur->PromoPending = true;
-  ++JS.AsyncRequests;
-  JS.EnqueueSeconds += now() - T0;
-  return true;
-}
-
-bool TranslationService::enqueuePromotion(Translation *Cur) {
-  if (!asyncEnabled())
-    return false;
-  double T0 = now();
-
-  auto J = std::make_unique<Job>();
-  J->Addr = Cur->Addr;
-  J->EnqueueTime = T0;
-  J->EpochAtEnqueue = TT.flushEpoch();
-  J->Snap = snapshotForEpoch(Cur->Addr, J->EpochAtEnqueue);
-  J->Result = std::make_unique<Translation>();
-  // Pin everything guest-thread-dependent now: options, the SMC policy
-  // sampled inside the instrument hook, the per-tool lock.
-  Host.setupTranslation(J->TO, Cur->Addr, /*Hot=*/true, J->Result.get());
-  J->TO.Prof = nullptr; // the Profiler is guest-thread-only
-  J->TO.PhaseOut = &J->Phases;
-  J->TO.InstrumentLock = &InstrLock;
-  return submitJob(std::move(J), Cur, T0);
-}
-
-bool TranslationService::enqueueTrace(Translation *Cur,
-                                      const TraceSpec &Spec) {
-  if (!asyncEnabled())
-    return false;
-  double T0 = now();
-
-  auto J = std::make_unique<Job>();
-  J->Addr = Cur->Addr;
-  J->EnqueueTime = T0;
-  J->EpochAtEnqueue = TT.flushEpoch();
-  J->Snap = snapshotForEpoch(Cur->Addr, J->EpochAtEnqueue);
-  J->Result = std::make_unique<Translation>();
-  // The spec goes in BEFORE setupTranslation so the host can scale the
-  // frontend limits, force Cacheable off, and capture the seam list for
-  // the per-seam SMC checks — all on the guest thread.
-  J->TO.Trace = Spec;
-  J->TO.TraceStats = &J->TraceStats; // Job outlives the pipeline
-  Host.setupTranslation(J->TO, Cur->Addr, /*Hot=*/true, J->Result.get());
-  J->TO.Prof = nullptr;
-  J->TO.PhaseOut = &J->Phases;
-  J->TO.InstrumentLock = &InstrLock;
-  if (!submitJob(std::move(J), Cur, T0))
-    return false;
-  ++JS.TraceRequests;
-  return true;
-}
-
-void TranslationService::workerMain() {
-  for (;;) {
-    std::unique_ptr<Job> J;
-    {
-      std::unique_lock<std::mutex> L(QueueMu);
-      QueueCV.wait(L, [this] { return Stop || !Queue.empty(); });
-      if (Stop)
-        return; // remaining jobs are counted abandoned by shutdown()
-      J = std::move(Queue.front());
-      Queue.pop_front();
-      ++InFlight;
-    }
-    runJob(*J);
-    {
-      std::lock_guard<std::mutex> L(DoneMu);
-      Done.push_back(std::move(J));
-    }
-    DoneCount.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> L(QueueMu);
-      --InFlight;
-    }
-    QueueCV.notify_all(); // waitIdle watches InFlight
-  }
-}
-
-void TranslationService::runJob(Job &J) {
-  try {
-    const GuestMemory::ExecSnapshot &Snap = *J.Snap;
-    FetchFn Fetch = [&Snap](uint32_t Addr, uint8_t *Buf,
-                            uint32_t MaxLen) -> uint32_t {
-      uint32_t N = 0;
-      while (N < MaxLen && Snap.fetch(Addr + N, Buf + N, 1))
-        ++N;
-      return N;
-    };
-    double T0 = now();
-    TranslatedBlock TB = translateBlock(J.Addr, Fetch, J.TO);
-    J.TranslateSeconds = now() - T0;
-    if (TB.SpillOverflow) {
-      // A stitched path outgrew the executor frame. Legitimate outcome,
-      // not a bug: settle the job as failed so the head stays tier-1.
-      J.SpillOverflow = true;
-      J.Failed = true;
-      return;
-    }
-    fillTranslation(*J.Result, J.Addr, /*Hot=*/true, std::move(TB));
-    bool Ok = false;
-    J.Result->CodeHash = hashSnapshot(Snap, J.Result->Extents, Ok);
-    J.Failed = !Ok;
-  } catch (...) {
-    J.Failed = true;
-  }
-}
-
-unsigned TranslationService::drainCompleted() {
-  std::vector<std::unique_ptr<Job>> Batch;
-  {
-    std::lock_guard<std::mutex> L(DoneMu);
-    Batch.swap(Done);
-    DoneCount.store(0, std::memory_order_relaxed);
-  }
-
-  unsigned Installed = 0;
-  for (std::unique_ptr<Job> &J : Batch) {
-    const bool IsTrace = !J->TO.Trace.Entries.empty();
-    // The promotion request is settled either way: let the block become
-    // hot again if this job dies below.
-    if (Translation *Cur = TT.find(J->Addr))
-      Cur->PromoPending = false;
-    Host.mergePhaseTimes(J->Phases);
-    if (J->Failed) {
-      ++JS.WorkerFailures;
-      if (IsTrace) {
-        ++JS.TraceAborts;
-        // Back off: don't re-stitch the same head until it has run twice
-        // as long again (the chain graph that produced an overflowing or
-        // untranslatable path is unlikely to shrink soon).
-        if (Translation *Cur = TT.find(J->Addr))
-          if (Cur->Tier == 1)
-            Cur->TraceRetryAt = Cur->ExecCount * 2;
-      }
-      continue;
-    }
-    ++JS.AsyncCompleted;
-    if (J->EpochAtEnqueue != TT.flushEpoch()) {
-      // A flush/invalidation ran since enqueue. The bytes might still
-      // hash equal (redirects rewrite meaning, not memory), so the hash
-      // check below would be insufficient: discard outright.
-      ++JS.AsyncDiscardedEpoch;
-      continue;
-    }
-    if (hashLive(J->Result->Extents) != J->Result->CodeHash) {
-      ++JS.AsyncDiscardedStale; // SMC since the snapshot
-      continue;
-    }
-    uint64_t GenBefore = TT.generation();
-    double T1 = now();
-    Translation *NT = TT.insert(std::move(J->Result));
-    NT->PromoPending = false;
-    ++JS.AsyncInstalled;
-    if (IsTrace) {
-      ++JS.TraceInstalled;
-      JS.TraceDeadFlagPuts += J->TraceStats.DeadFlagPuts;
-      JS.TraceProbesCSEd += J->TraceStats.ProbesCSEd;
-    }
-    JS.InstallLatencySeconds += T1 - J->EnqueueTime;
-    Host.noteTranslation(NT->Addr, *NT, J->TranslateSeconds);
-    Host.promotionInstalled(NT, GenBefore);
-    ++Installed;
-    // Persist the freshly-installed superblock. The live-hash check just
-    // passed, so a key derived from live bytes matches what a future
-    // lookup (which also reads live bytes) will compute.
-    if ((Cache || Server) && NT->Cacheable && !poisonedExtents(NT->Extents))
-      writeBackToCache(
-          TransCache::entryKey(NT->Addr, /*Hot=*/true, cachePrefixHash(NT->Addr)),
-          *NT);
-  }
-  return Installed;
-}
-
-void TranslationService::waitIdle() {
-  if (Workers.empty())
-    return;
-  std::unique_lock<std::mutex> L(QueueMu);
-  QueueCV.wait(L, [this] { return Queue.empty() && InFlight == 0; });
 }

@@ -2,34 +2,13 @@
 ///
 /// \file
 /// The translation layer extracted from the Core monolith: owns the
-/// translation table, the eight-phase pipeline entry points, and (under
-/// --jit-threads=N) a bounded promotion queue drained by background
-/// workers. The design keeps one invariant above all others: the TransTab
-/// and every guest-visible structure are touched by the guest thread ONLY.
-///
-/// Publication protocol for an asynchronous hot promotion:
-///
-///   1. Guest thread (dispatcher): the tier-1 block crosses the hot
-///      threshold. Instead of stalling on an inline retranslation it
-///      snapshots the executable pages, stamps the current TT flush epoch,
-///      marks the block PromoPending, and enqueues a job. Execution
-///      continues in the tier-1 code.
-///   2. Worker: runs the full pipeline against the snapshot (never against
-///      live GuestMemory — even const reads refresh its TLB). Phase 3
-///      serialises behind a per-tool lock since tools are stateful. All
-///      counters/timings accumulate in job-local storage.
-///   3. Guest thread (next dispatch boundary): drains finished jobs. A job
-///      is discarded if the flush epoch moved (redirect/munmap/SMC flush —
-///      the bytes may hash equal yet mean something else now) or if the
-///      live code no longer hashes to what was translated. Survivors are
-///      installed with a plain TT.insert(), which atomically-from-the-
-///      guest's-view replaces the tier-1 block and eagerly re-patches
-///      chain back-edges through the chain graph.
-///
-/// Degradation ladder: --jit-threads=0 (default) never constructs a
-/// worker, never takes a lock, and preserves byte-identical behaviour; a
-/// full queue or an all-dead worker pool falls back to today's inline
-/// synchronous promotion; a worker failure discards only that job.
+/// translation table, the eight-phase pipeline entry points, and the
+/// optional persistent translation cache (--tt-cache). Translation is
+/// synchronous and on demand, as in Sections 3.9 and 3.14: a block is
+/// translated on the thread that holds the big lock (the guest thread, or
+/// the shard holding the world lock), at a dispatch boundary where nothing
+/// is executing inside the code cache. The TransTab and every
+/// guest-visible structure are touched from that context only.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_CORE_TRANSLATIONSERVICE_H
@@ -40,77 +19,31 @@
 #include "core/Translate.h"
 #include "guest/GuestMemory.h"
 #include "ir/IROpt.h"
-#include "server/TransServerClient.h"
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace vg {
 
-/// Translation-service counters. Guest thread only: workers report through
-/// job-local fields that the guest thread folds in at drain time, so the
-/// numbers can never tear or double-count.
+/// Translation-service counters, updated under the big lock.
 struct JitStats {
-  uint64_t AsyncRequests = 0;       ///< promotions enqueued
-  uint64_t AsyncCompleted = 0;      ///< pipelines finished by workers
-  uint64_t AsyncInstalled = 0;      ///< superblocks published into the TT
-  uint64_t AsyncDiscardedEpoch = 0; ///< lost to a TT flush/invalidation
-  uint64_t AsyncDiscardedStale = 0; ///< guest code changed under the job
-  uint64_t AsyncAbandoned = 0;      ///< still queued/unpublished at exit
-  uint64_t QueueFullFallbacks = 0;  ///< backpressure -> inline translation
-  uint64_t WorkerFailures = 0;
-  uint64_t QueueHighWater = 0;
-  uint64_t SyncPromotions = 0;      ///< promotions run inline (stalls)
-  double InstallLatencySeconds = 0; ///< enqueue -> publication, summed
-  double SyncPromoStallSeconds = 0; ///< guest time lost to inline promotion
-  double EnqueueSeconds = 0;        ///< guest time spent snapshotting/queueing
   // Persistent translation cache (--tt-cache). Every lookup settles into
   // exactly one bucket: CacheHits + CacheMisses + CacheRejects equals the
   // number of lookups, and a hit was *installed* — there is no "hit but
-  // not used" state. Hits never touch the async counters above, so the
-  // accounting identity (AsyncRequests == Installed + DiscardedEpoch +
-  // DiscardedStale + WorkerFailures + Abandoned) is unaffected by caching.
+  // not used" state.
   uint64_t CacheHits = 0;    ///< validated entries installed from disk
   uint64_t CacheMisses = 0;  ///< no entry on disk; pipeline ran
   uint64_t CacheRejects = 0; ///< entry malformed/stale/poisoned; pipeline ran
   uint64_t CacheWrites = 0;  ///< translations persisted after install
   double CacheLoadSeconds = 0;  ///< guest time in lookup+validate+install
   double CacheStoreSeconds = 0; ///< guest time serializing write-backs
-  // Trace tier (--trace-tier). Async trace jobs ride the same queue as hot
-  // promotions and settle into the same accounting identity: a trace
-  // request that fails in the worker (including spill overflow, which is a
-  // legitimate outcome for a stitched path) counts as a WorkerFailure AND
-  // a TraceAbort. Traces are never cached, so the cache counters above
-  // never move for them.
-  uint64_t TraceRequests = 0;  ///< trace formations attempted (sync+async)
+  // Trace tier (--trace-tier). Traces are never cached, so the cache
+  // counters above never move for them.
+  uint64_t TraceRequests = 0;  ///< trace formations attempted
   uint64_t TraceInstalled = 0; ///< traces published into the TT
-  uint64_t TraceAborts = 0;    ///< spill overflow / worker failure
+  uint64_t TraceAborts = 0;    ///< spill overflow
   uint64_t TraceDeadFlagPuts = 0; ///< dead CC-thunk writes deleted
   uint64_t TraceProbesCSEd = 0;   ///< shadow probes CSE'd across seams
-  // Translation server (--tt-server). The daemon is consulted only after
-  // the local cache misses, so ServerHits is a subset of CacheHits and the
-  // cache identity above still holds. The server's own identity:
-  // ServerRequests == ServerHits + ServerMisses + ServerRejects +
-  // ServerFallbacks — every lookup settles into exactly one bucket, and a
-  // Fallback (timeout/EOF/malformed/dead daemon) degrades to the local
-  // pipeline, never to a stall. Timeouts/Retries also cover write-back
-  // PUT traffic; the hit/miss buckets never do.
-  uint64_t ServerRequests = 0;  ///< server lookups settled (incl. dead skips)
-  uint64_t ServerHits = 0;      ///< fetched, validated, and installed
-  uint64_t ServerMisses = 0;    ///< daemon had no entry under the key
-  uint64_t ServerRejects = 0;   ///< fetched but failed validation; pipeline ran
-  uint64_t ServerTimeouts = 0;  ///< per-request deadlines that fired
-  uint64_t ServerRetries = 0;   ///< re-attempts after a failed attempt
-  uint64_t ServerFallbacks = 0; ///< lookups that degraded down the ladder
-  uint64_t ServerWrites = 0;    ///< translations pushed to the daemon
-  uint64_t ServerBytesFetched = 0;
-  uint64_t ServerBytesSent = 0;
-  double ServerFetchSeconds = 0; ///< guest time in server lookups
 };
 
 /// The hooks the service needs from its host (the Core). Small enough that
@@ -121,27 +54,18 @@ public:
 
   /// Fills the pipeline options for translating the block at \p PC,
   /// binding the instrument hook against \p Raw (the Translation under
-  /// construction — the SMC prelude embeds its address). Guest thread
-  /// only: for async jobs the service calls this at enqueue time, so
-  /// anything sampled here (SMC policy, option values) is pinned before
-  /// the job leaves the guest thread.
+  /// construction — the SMC prelude embeds its address).
   virtual void setupTranslation(TranslationOptions &TO, uint32_t PC,
                                 bool Hot, Translation *Raw) = 0;
 
-  /// Guest-thread accounting for one finished pipeline — called by the
-  /// sync path right after translation and by the drain loop at install
-  /// time (never by a worker).
+  /// Accounting for one installed translation (fresh or cache-served).
   virtual void noteTranslation(uint32_t PC, const Translation &T,
                                double Seconds) = 0;
 
-  /// A worker's phase times, folded in on the guest thread at drain time.
-  virtual void mergePhaseTimes(const PhaseTimes &PT) = 0;
-
-  /// An async superblock was just published over the tier-1 block.
-  /// \p GenBefore is the TT generation sampled immediately before the
-  /// insert (the host repairs its fast cache the same way the inline
-  /// promotion path does).
-  virtual void promotionInstalled(Translation *T, uint64_t GenBefore) = 0;
+  /// A trace was just published over its tier-1 head. \p GenBefore is the
+  /// TT generation sampled immediately before the insert (the host repairs
+  /// its fast cache the same way the promotion path does).
+  virtual void traceInstalled(Translation *T, uint64_t GenBefore) = 0;
 };
 
 /// The tiered translation service. One instance per Core; owns the
@@ -150,237 +74,79 @@ class TranslationService {
 public:
   TranslationService(TranslationHost &Host, GuestMemory &Memory,
                      size_t TTCapacityPow2 = 1u << 14);
-  ~TranslationService();
 
   TranslationService(const TranslationService &) = delete;
   TranslationService &operator=(const TranslationService &) = delete;
 
-  /// Starts \p Threads background workers over a queue of at most
-  /// \p QueueDepth jobs. No-op when \p Threads is 0 (the deterministic
-  /// default). Call once, before execution starts.
-  void configure(unsigned Threads, unsigned QueueDepth);
-
-  /// Stops the workers and counts every unpublished job as abandoned.
-  /// Idempotent; the destructor calls it too.
-  void shutdown();
-
   TransTab &transTab() { return TT; }
-  unsigned jitThreads() const { return NumThreads; }
-  unsigned queueDepth() const { return QueueDepth; }
-  bool asyncEnabled() const { return NumThreads != 0 && !Stopped; }
   const JitStats &jitStats() const { return JS; }
 
   /// Attaches the persistent translation cache (--tt-cache). Call before
-  /// execution starts. The cache is guest-thread-only: lookups happen in
-  /// translateSync/promoteFromCache, write-backs right after an install —
-  /// workers never see it.
+  /// execution starts. Lookups happen in translateSync, write-backs right
+  /// after an install.
   void attachCache(std::unique_ptr<TransCache> C) { Cache = std::move(C); }
   TransCache *cache() { return Cache.get(); }
   const TransCache *cache() const { return Cache.get(); }
 
-  /// Attaches the translation-server client (--tt-server). Call before
-  /// execution starts. \p ConfigHash is the same fingerprint the cache
-  /// uses — with both attached it MUST be the value the cache was built
-  /// with, so local files and served images decode under one key space.
-  /// Guest-thread-only, exactly like the cache.
-  void attachServer(std::unique_ptr<TransServerClient> S,
-                    uint64_t ConfigHash) {
-    Server = std::move(S);
-    ServerCfg = ConfigHash;
-  }
-  TransServerClient *server() { return Server.get(); }
-  const TransServerClient *server() const { return Server.get(); }
-
   /// Invalidation entry point hosts use instead of raw TT.invalidateRange:
-  /// bumps the flush epoch exactly as before AND poisons the cache (or the
-  /// server-only poison set) so a redirected/unmapped address can't be
-  /// re-served this run, AND notifies the daemon (best-effort, bounded) so
-  /// it evicts entries intersecting the range.
+  /// also poisons the cache so a redirected/unmapped address can't be
+  /// re-served this run.
   unsigned invalidate(uint32_t Addr, uint32_t Len);
 
   /// Full-address-space invalidation. A Len parameter cannot express the
   /// whole 4GB guest space in 32 bits, and invalidate(0, 0xFFFFFFFF)
   /// silently missed translations covering the final guest byte — the
-  /// fault-injected TT flush used exactly that spelling. One epoch bump,
-  /// every translation discarded, the whole cache poisoned.
+  /// fault-injected TT flush used exactly that spelling. Every translation
+  /// is discarded and the whole cache poisoned.
   unsigned invalidateAll();
 
   /// The synchronous pipeline: translate the block at \p PC (hot = chase
   /// branches into a superblock), hash its bytes, account it through the
-  /// host, and insert it into the table. Guest thread only. With a cache
-  /// attached, an eligible PC is first looked up on disk (a validated hit
-  /// skips the pipeline entirely) and a fresh translation is written back
-  /// after install.
+  /// host, and insert it into the table. With a cache attached, an
+  /// eligible PC is first looked up on disk (a validated hit skips the
+  /// pipeline entirely) and a fresh translation is written back after
+  /// install.
   Translation *translateSync(uint32_t PC, bool Hot);
 
-  /// Attempts to serve a hot promotion of \p PC straight from the
-  /// persistent cache, skipping both the promotion queue and the inline
-  /// pipeline. Returns the installed superblock, or null on miss/reject/
-  /// ineligibility (caller falls through to enqueuePromotion/promoteHot).
-  /// Guest thread, dispatch-boundary only: a hit replaces the resident
-  /// tier-1 translation, which the caller must treat as dangling.
-  Translation *promoteFromCache(uint32_t PC);
-
-  /// Queues an asynchronous hot promotion of \p Cur (a resident tier-1
-  /// block). Returns false — fall back to the inline path — when async
-  /// mode is off, the queue is full, or the service is shut down. On
-  /// success marks \p Cur PromoPending so the dispatcher and chain thunk
-  /// stop re-requesting it.
-  bool enqueuePromotion(Translation *Cur);
-
-  /// The trace tier (tier 2). Synchronously stitches the hot path
-  /// described by \p Spec into one trace translation and installs it over
-  /// the head's tier-1 block. Returns null (leaving the tier-1 block
-  /// resident) when register allocation overflows the executor frame —
-  /// the only way a stitch can fail once the frontend has a path. Guest
-  /// thread, dispatch-boundary only. Never consults or feeds the
-  /// persistent cache: a trace encodes this run's branch bias and chain
-  /// graph, which no cache key captures.
+  /// The trace tier (tier 2). Stitches the hot path described by \p Spec
+  /// into one trace translation and installs it over the head's tier-1
+  /// block. Returns null (leaving the tier-1 block resident) when register
+  /// allocation overflows the executor frame — the only way a stitch can
+  /// fail once the frontend has a path. Dispatch-boundary only. Never
+  /// consults or feeds the persistent cache: a trace encodes this run's
+  /// branch bias and chain graph, which no cache key captures.
   Translation *translateTrace(const TraceSpec &Spec);
 
-  /// Queues an asynchronous trace formation over \p Cur (the resident
-  /// tier-1 head). Same contract and publication protocol as
-  /// enqueuePromotion — epoch stamp, shared snapshot, PromoPending — with
-  /// the trace spec pinned into the job before setupTranslation runs, so
-  /// the instrument hook sees the seam list on the guest thread.
-  bool enqueueTrace(Translation *Cur, const TraceSpec &Spec);
-
-  /// True when at least one worker job awaits installation. A relaxed
-  /// atomic load — cheap enough for the dispatch loop and the chain
-  /// thunk; always false when --jit-threads=0.
-  bool hasCompleted() const {
-    return DoneCount.load(std::memory_order_relaxed) != 0;
-  }
-
-  /// Guest thread, dispatch-loop boundary only (nothing may be executing
-  /// inside the code cache): installs every finished job that survives
-  /// the epoch and liveness checks. Returns the number installed.
-  unsigned drainCompleted();
-
-  /// Accounts one inline (stalling) promotion — the fallback rung of the
-  /// degradation ladder, and the entire promotion story at
-  /// --jit-threads=0.
-  void noteSyncPromotion(double Seconds) {
-    ++JS.SyncPromotions;
-    JS.SyncPromoStallSeconds += Seconds;
-  }
-
-  /// Blocks until the queue and all in-flight jobs have drained into the
-  /// done list (test/bench support; guest thread).
-  void waitIdle();
-
 private:
-  struct Job {
-    uint32_t Addr = 0;
-    uint64_t EpochAtEnqueue = 0;
-    double EnqueueTime = 0;
-    std::shared_ptr<const GuestMemory::ExecSnapshot> Snap;
-    TranslationOptions TO;             ///< built on the guest thread
-    std::unique_ptr<Translation> Result;
-    // Worker-owned results, read by the guest thread only after the job
-    // moves to the done list (the mutex hand-off orders the accesses).
-    PhaseTimes Phases;
-    double TranslateSeconds = 0;
-    bool Failed = false;
-    // Trace jobs (TO.Trace.Entries non-empty): TO.TraceStats points here
-    // (the Job outlives the pipeline, so the pointer is stable); the guest
-    // thread folds the counters into JitStats at drain time.
-    ir::TraceOptStats TraceStats;
-    bool SpillOverflow = false; ///< trace outgrew the executor frame
-  };
-
   static double now();
   /// FNV-1a over the first (up to) 64 live guest bytes at \p PC — the
   /// content component of the cache key. Short reads (unmapped tail) just
   /// shorten the window; see TransCache::entryKey for why any window is
   /// correct.
   uint64_t cachePrefixHash(uint32_t PC) const;
-  /// On Found+validated: fills \p TPtr (an already-set-up shell), accounts
-  /// the hit, installs, and returns the resident translation; \p Promotion
-  /// adds the promotionInstalled bookkeeping. Null on miss/reject (the
-  /// shell stays reusable by the pipeline).
+  /// On a validated hit: fills \p TPtr (an already-set-up shell), accounts
+  /// the hit, installs, and returns the resident translation. Null on
+  /// miss/reject (the shell stays reusable by the pipeline).
   Translation *installFromCache(std::unique_ptr<Translation> &TPtr,
-                                uint64_t Key, uint32_t PC, bool Hot,
-                                bool Promotion);
-  /// Fetches \p Key from the daemon and decodes it. NotFound on miss or
-  /// any transport failure (the ladder's "degrade" rung), Malformed when
-  /// the daemon returned bytes that fail validation. On Found, \p Image
-  /// keeps the pristine pre-callee-patch file bytes for write-through and
-  /// \p FromServer is set so the caller attributes the install (or the
-  /// reject — FromServer is set for Malformed too).
-  TransCache::LoadResult loadFromServer(uint64_t Key, TransCacheEntry &E,
-                                        std::vector<uint8_t> &Image,
-                                        bool &FromServer);
-  /// The run's semantic-invalidation check: the cache's poison set when a
-  /// cache is attached, the service-level set in server-only mode.
-  bool poisonedExtents(
-      const std::vector<std::pair<uint32_t, uint32_t>> &Extents) const {
-    return Cache ? Cache->poisoned(Extents) : ServerPoison.poisoned(Extents);
-  }
-  /// Serializes an installed translation under \p Key: encoded once, then
-  /// published to the local cache (counts CacheWrites) and pushed to the
-  /// daemon (counts ServerWrites).
+                                uint64_t Key, uint32_t PC, bool Hot);
+  /// Serializes an installed translation under \p Key (counts
+  /// CacheWrites).
   void writeBackToCache(uint64_t Key, const Translation &T);
   uint64_t hashLive(
       const std::vector<std::pair<uint32_t, uint32_t>> &Extents) const;
-  static uint64_t
-  hashSnapshot(const GuestMemory::ExecSnapshot &Snap,
-               const std::vector<std::pair<uint32_t, uint32_t>> &Extents,
-               bool &Ok);
+  /// Runs the pipeline over live guest memory.
+  TranslatedBlock runPipeline(uint32_t PC, const TranslationOptions &TO);
   static void fillTranslation(Translation &T, uint32_t PC, bool Hot,
                               TranslatedBlock TB);
-  /// Returns the shared exec-page snapshot for \p Epoch, rebuilding it when
-  /// the epoch moved or \p Addr lies in pages mapped after it was taken.
-  std::shared_ptr<const GuestMemory::ExecSnapshot>
-  snapshotForEpoch(uint32_t Addr, uint64_t Epoch);
-  /// Queue hand-off shared by enqueuePromotion/enqueueTrace: pushes \p J
-  /// under backpressure rules, marks \p Cur pending, counts the request.
-  bool submitJob(std::unique_ptr<Job> J, Translation *Cur, double T0);
-  void workerMain();
-  void runJob(Job &J);
 
   TranslationHost &Host;
   GuestMemory &Memory;
   TransTab TT;
 
-  unsigned NumThreads = 0;
-  unsigned QueueDepth = 8;
-  bool Stopped = false; ///< guest-thread view; Stop below is the shared flag
-
-  std::mutex QueueMu;
-  std::condition_variable QueueCV;
-  std::deque<std::unique_ptr<Job>> Queue; ///< guarded by QueueMu
-  bool Stop = false;                      ///< guarded by QueueMu
-  unsigned InFlight = 0;                  ///< jobs inside workers (QueueMu)
-
-  std::mutex DoneMu;
-  std::vector<std::unique_ptr<Job>> Done; ///< guarded by DoneMu
-  std::atomic<unsigned> DoneCount{0};
-
-  std::mutex InstrLock; ///< serialises Phase 3 (tools are stateful)
-  std::vector<std::thread> Workers;
-
-  /// Exec-page snapshot shared by every job enqueued within one flush
-  /// epoch (guest thread only; workers hold const refs). Rebuilding per
-  /// job would put a full page-copy on the guest thread's enqueue path —
-  /// the very stall async mode exists to avoid. Reuse is safe even across
-  /// SMC writes (which bump no epoch): a job translated from stale bytes
-  /// fails the install-time hash check and is discarded.
-  std::shared_ptr<const GuestMemory::ExecSnapshot> SnapCache;
-  uint64_t SnapCacheEpoch = 0;
-
-  /// Persistent translation cache, or null. Guest thread only.
+  /// Persistent translation cache, or null.
   std::unique_ptr<TransCache> Cache;
 
-  /// Translation-server client (--tt-server), or null. Guest thread only.
-  std::unique_ptr<TransServerClient> Server;
-  uint64_t ServerCfg = 0; ///< config fingerprint sent with every request
-  /// Same-run poison bookkeeping for server-only mode (--tt-server with no
-  /// local --tt-cache): without a TransCache to own the set, redirects and
-  /// unmaps must still reject served entries for the rest of the run.
-  PoisonSet ServerPoison;
-
-  JitStats JS; ///< guest thread only
+  JitStats JS;
 };
 
 } // namespace vg

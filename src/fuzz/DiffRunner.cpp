@@ -2,7 +2,6 @@
 
 #include "fuzz/DiffRunner.h"
 
-#include "server/TransServer.h"
 #include "tools/Cachegrind.h"
 #include "tools/ICnt.h"
 #include "tools/Loopgrind.h"
@@ -115,19 +114,8 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
     M.push_back({"nulgrind-fault", "nulgrind", {Spec.str()}, false, false,
                  /*CheckSmcRetrans=*/false});
   }
-  // Asynchronous tiered translation: two workers racing the guest thread.
-  // Guest-visible behaviour must still match the oracle exactly — only
-  // timing (which tier runs when) may differ, so the SMC-retranslation
-  // invariant is waived (an async superblock installed from fresh bytes
-  // legitimately swallows the SmcFail, just like the hot cell above).
-  M.push_back({"nulgrind-async",
-               "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2", "--jit-threads=2"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false});
   // Trace tier: aggressive thresholds so fuzz-sized loops actually stitch
-  // traces. Same SMC waiver as the hot/async cells — a trace formed after
+  // traces. Same SMC waiver as the hot cell — a trace formed after
   // the patch was translated from the patched bytes, so SmcFail may
   // legitimately never fire.
   M.push_back({"nulgrind-traces",
@@ -156,12 +144,6 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
                false,
                true,
                /*CheckSmcRetrans=*/false});
-  M.push_back({"memcheck-async",
-               "memcheck",
-               {"--chaining=yes", "--hot-threshold=3", "--jit-threads=2"},
-               false,
-               true,
-               /*CheckSmcRetrans=*/false});
   M.push_back({"memcheck-traces",
                "memcheck",
                {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
@@ -182,12 +164,12 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
   // Client-request cell: requests end blocks with JumpKind::ClientReq, and
   // the ClReq/ClReqCore/ClReqTool atoms put them in every program, so this
   // cell drives them across every tier boundary at once — chained blocks,
-  // async hot promotion, and trace stitching racing the guest. The JIT and
-  // the RefInterp oracle must agree on every request's result.
+  // hot promotion, and trace stitching. The JIT and the RefInterp oracle
+  // must agree on every request's result.
   M.push_back({"nulgrind-creq",
                "nulgrind",
                {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
-                "--trace-threshold=8", "--jit-threads=2"},
+                "--trace-threshold=8"},
                false,
                false,
                /*CheckSmcRetrans=*/false});
@@ -220,18 +202,6 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
                true,
                /*CheckSmcRetrans=*/false,
                /*CacheTwice=*/true});
-  // Translation server: same double-run shape as the cache cells, but the
-  // translations travel through a live in-process vgserve daemon — cold run
-  // warms it via write-back PUTs, warm run installs over the socket after
-  // full client-side re-validation.
-  M.push_back({"nulgrind-served",
-               "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false,
-               /*CacheTwice=*/false,
-               /*ServeTwice=*/true});
   if (P.Smc)
     for (FuzzConfig &C : M)
       C.Opts.push_back("--smc-check=all");
@@ -254,7 +224,6 @@ static void runOne(const FuzzProgram &P, const GuestImage &Img,
                    const RunReport &Oracle, const FuzzConfig &C,
                    std::vector<Divergence> &Out) {
   std::string CacheDir;
-  std::string ServerSock;
   auto runAs = [&](const FuzzConfig &Cell) {
     std::unique_ptr<Tool> T = makeTool(Cell.ToolName);
     if (!T) {
@@ -264,38 +233,12 @@ static void runOne(const FuzzProgram &P, const GuestImage &Img,
     std::vector<std::string> Opts = Cell.Opts;
     if (!CacheDir.empty())
       Opts.push_back("--tt-cache=" + CacheDir);
-    if (!ServerSock.empty())
-      Opts.push_back("--tt-server=" + ServerSock);
     RunReport Got =
         runUnderCore(Img, T.get(), Opts, P.StdinData, CoreMaxBlocks);
     const ICnt *Counter = dynamic_cast<const ICnt *>(T.get());
     const Memcheck *Mc = dynamic_cast<const Memcheck *>(T.get());
     compareReports(Oracle, Got, Cell, Counter, Mc, P.Smc, P.Signals, Out);
   };
-  if (C.ServeTwice) {
-    std::string Dir = freshCacheDir();
-    TransServer::Options SO;
-    SO.Dir = Dir;
-    SO.SocketPath = Dir + ".sock";
-    TransServer Server(SO);
-    std::string SrvErr;
-    if (!Server.start(SrvErr)) {
-      // No socket to serve on (exotic sandbox): the client would just fall
-      // back to inline JIT, which the plain cells already cover — skip.
-      std::error_code EC;
-      std::filesystem::remove_all(Dir, EC);
-      return;
-    }
-    ServerSock = SO.SocketPath;
-    runAs(C); // cold: warms the daemon via write-back PUTs
-    FuzzConfig Warm = C;
-    Warm.Name += "-warm";
-    runAs(Warm); // warm: installs over the wire
-    Server.stop();
-    std::error_code EC;
-    std::filesystem::remove_all(Dir, EC);
-    return;
-  }
   if (!C.CacheTwice) {
     runAs(C);
     return;

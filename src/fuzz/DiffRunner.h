@@ -43,13 +43,6 @@ struct FuzzConfig {
   /// under "<name>-warm". Exercises serialize -> deserialize -> install for
   /// every translation the program produces.
   bool CacheTwice = false;
-  /// Like CacheTwice, but through a live translation server: an in-process
-  /// vgserve daemon is started on a fresh socket over a fresh directory,
-  /// the cold run warms it via write-back PUTs, and the warm run installs
-  /// its translations over the wire (validated client-side). Exercises
-  /// encode -> frame -> serve -> decode -> install end to end; both runs
-  /// must still match the oracle bit for bit.
-  bool ServeTwice = false;
 };
 
 /// One observed disagreement between the oracle and a config.

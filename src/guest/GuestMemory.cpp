@@ -18,52 +18,6 @@ GuestMemory::~GuestMemory() {
   // Graveyard pages free themselves (unique_ptr).
 }
 
-bool GuestMemory::ExecSnapshot::fetch(uint32_t Addr, void *Out,
-                                      uint32_t Len) const {
-  if (Len == 0)
-    return true;
-  // Binary search for the last range with Base <= Addr; a fetch never
-  // straddles two ranges (coalescing merged adjacent pages, so a gap means
-  // non-executable memory anyway).
-  auto It = std::upper_bound(
-      Ranges.begin(), Ranges.end(), Addr,
-      [](uint32_t A, const Range &R) { return A < R.Base; });
-  if (It == Ranges.begin())
-    return false;
-  const Range &R = *--It;
-  uint64_t Off = static_cast<uint64_t>(Addr) - R.Base;
-  if (Off + Len > R.Bytes.size())
-    return false;
-  std::memcpy(Out, R.Bytes.data() + Off, Len);
-  return true;
-}
-
-GuestMemory::ExecSnapshot GuestMemory::snapshotExecRanges() const {
-  // The radix tree iterates in address order, so runs coalesce in one
-  // pass with no sort.
-  ExecSnapshot Snap;
-  uint32_t PrevIdx = ~0u;
-  for (uint32_t TI = 0; TI != TopSize; ++TI) {
-    const Leaf *L = Top[TI].load(std::memory_order_acquire);
-    if (!L)
-      continue;
-    for (uint32_t LI = 0; LI != LeafSize; ++LI) {
-      const Page *P = L->Slots[LI].load(std::memory_order_acquire);
-      if (!P || !(P->Perms.load(std::memory_order_relaxed) & PermExec))
-        continue;
-      uint32_t Idx = (TI << LeafBits) | LI;
-      if (Snap.Ranges.empty() || PrevIdx + 1 != Idx) {
-        Snap.Ranges.push_back({Idx << PageShift, {}});
-        Snap.Ranges.back().Bytes.reserve(PageSize);
-      }
-      ExecSnapshot::Range &R = Snap.Ranges.back();
-      R.Bytes.insert(R.Bytes.end(), P->Data.begin(), P->Data.end());
-      PrevIdx = Idx;
-    }
-  }
-  return Snap;
-}
-
 GuestMemory::Leaf *GuestMemory::ensureLeaf(uint32_t PageIdx) {
   std::atomic<Leaf *> &Slot = Top[PageIdx >> LeafBits];
   Leaf *L = Slot.load(std::memory_order_relaxed);

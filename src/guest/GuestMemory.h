@@ -143,27 +143,6 @@ public:
     return PageCount.load(std::memory_order_relaxed);
   }
 
-  /// One coalesced run of executable pages, copied out of the address
-  /// space. Background translation workers fetch guest code from these
-  /// snapshots: a snapshot pins the code bytes as they were when the
-  /// promotion was requested, independent of later SMC or unmaps.
-  struct ExecSnapshot {
-    struct Range {
-      uint32_t Base = 0;
-      std::vector<uint8_t> Bytes;
-    };
-    std::vector<Range> Ranges; ///< sorted by Base, non-overlapping
-
-    /// Fetch \p Len bytes at \p Addr; false if any byte falls outside the
-    /// snapshotted executable ranges (the worker then abandons the job).
-    bool fetch(uint32_t Addr, void *Out, uint32_t Len) const;
-  };
-
-  /// Copies every executable page into a snapshot, coalescing adjacent
-  /// pages into runs. Mutation must be excluded while this runs (world
-  /// lock / guest thread only).
-  ExecSnapshot snapshotExecRanges() const;
-
 private:
   struct Page {
     std::array<uint8_t, PageSize> Data;

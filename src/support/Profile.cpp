@@ -159,34 +159,6 @@ void Profiler::report(OutputSink &Out, const ProfCounters &C,
                  static_cast<unsigned long long>(C.FaultsInjected[I]));
   }
 
-  if (C.HasJit) {
-    Out.printf("\n== profile: translation service ==\n");
-    Out.printf("jit-threads=%llu queue-depth=%llu high-water=%llu\n",
-               static_cast<unsigned long long>(C.JitThreads),
-               static_cast<unsigned long long>(C.JitQueueDepth),
-               static_cast<unsigned long long>(C.QueueHighWater));
-    Out.printf("async requests=%llu completed=%llu installed=%llu\n",
-               static_cast<unsigned long long>(C.AsyncRequests),
-               static_cast<unsigned long long>(C.AsyncCompleted),
-               static_cast<unsigned long long>(C.AsyncInstalled));
-    Out.printf("discarded epoch=%llu stale=%llu abandoned=%llu\n",
-               static_cast<unsigned long long>(C.AsyncDiscardedEpoch),
-               static_cast<unsigned long long>(C.AsyncDiscardedStale),
-               static_cast<unsigned long long>(C.AsyncAbandoned));
-    Out.printf("sync promotions=%llu queue-full-fallbacks=%llu "
-               "worker-failures=%llu\n",
-               static_cast<unsigned long long>(C.SyncPromotions),
-               static_cast<unsigned long long>(C.QueueFullFallbacks),
-               static_cast<unsigned long long>(C.WorkerFailures));
-    Out.printf("install latency total=%.1fus mean=%.1fus\n",
-               C.InstallLatencySeconds * 1e6,
-               C.AsyncInstalled ? C.InstallLatencySeconds * 1e6 /
-                                      static_cast<double>(C.AsyncInstalled)
-                                : 0.0);
-    Out.printf("guest stall: inline-promotion=%.1fus enqueue=%.1fus\n",
-               C.SyncPromoStallSeconds * 1e6, C.EnqueueSeconds * 1e6);
-  }
-
   if (C.HasTraces) {
     Out.printf("\n== profile: trace tier ==\n");
     Out.printf("requests=%llu traces-formed=%llu aborts=%llu\n",
@@ -250,35 +222,6 @@ void Profiler::report(OutputSink &Out, const ProfCounters &C,
                C.CacheWrites ? C.CacheStoreSeconds * 1e6 /
                                    static_cast<double>(C.CacheWrites)
                              : 0.0);
-  }
-
-  if (C.HasTransServer) {
-    Out.printf("\n== profile: translation server ==\n");
-    Out.printf("server requests=%llu hits=%llu misses=%llu rejects=%llu "
-               "(%.2f%% hit)\n",
-               static_cast<unsigned long long>(C.ServerRequests),
-               static_cast<unsigned long long>(C.ServerHits),
-               static_cast<unsigned long long>(C.ServerMisses),
-               static_cast<unsigned long long>(C.ServerRejects),
-               C.ServerRequests
-                   ? 100.0 * static_cast<double>(C.ServerHits) /
-                         static_cast<double>(C.ServerRequests)
-                   : 0.0);
-    Out.printf("server timeouts=%llu retries=%llu fallbacks=%llu "
-               "writes=%llu alive-at-exit=%s\n",
-               static_cast<unsigned long long>(C.ServerTimeouts),
-               static_cast<unsigned long long>(C.ServerRetries),
-               static_cast<unsigned long long>(C.ServerFallbacks),
-               static_cast<unsigned long long>(C.ServerWrites),
-               C.ServerAlive ? "yes" : "no");
-    Out.printf("server bytes fetched=%llu sent=%llu fetch total=%.1fus "
-               "mean=%.1fus\n",
-               static_cast<unsigned long long>(C.ServerBytesFetched),
-               static_cast<unsigned long long>(C.ServerBytesSent),
-               C.ServerFetchSeconds * 1e6,
-               C.ServerHits ? C.ServerFetchSeconds * 1e6 /
-                                  static_cast<double>(C.ServerHits)
-                            : 0.0);
   }
 
   if (C.HasTrace) {

@@ -33,30 +33,6 @@ enum class ProfPhase : unsigned {
 
 const char *profPhaseName(ProfPhase P);
 
-/// Per-phase wall time accumulated by ONE thread. Each translation worker
-/// owns its own instance and the guest thread merges them at install time,
-/// so the asynchronous pipeline never shares a counter (the pre-service
-/// code mutated the Profiler's plain fields straight from the translation
-/// path, which a background worker would race).
-struct PhaseTimes {
-  static constexpr unsigned NPhases =
-      static_cast<unsigned>(ProfPhase::NumPhases);
-  double Seconds[NPhases] = {};
-  uint64_t Counts[NPhases] = {};
-
-  void add(ProfPhase Ph, double S) {
-    unsigned I = static_cast<unsigned>(Ph);
-    Seconds[I] += S;
-    ++Counts[I];
-  }
-  void merge(const PhaseTimes &O) {
-    for (unsigned I = 0; I != NPhases; ++I) {
-      Seconds[I] += O.Seconds[I];
-      Counts[I] += O.Counts[I];
-    }
-  }
-};
-
 /// Counters snapshotted by the core at report time (kept as a plain struct
 /// so support/ does not depend on core/ headers).
 struct ProfCounters {
@@ -101,28 +77,11 @@ struct ProfCounters {
   uint64_t TraceDropped = 0;
   uint64_t TraceSyscalls = 0;
   uint64_t TraceSignals = 0; ///< queue+deliver+return+drop records
-  // Translation-service counters (only when --jit-threads > 0).
-  bool HasJit = false;
-  uint64_t JitThreads = 0;
-  uint64_t JitQueueDepth = 0;
-  uint64_t AsyncRequests = 0;       ///< promotions enqueued
-  uint64_t AsyncCompleted = 0;      ///< pipelines finished by workers
-  uint64_t AsyncInstalled = 0;      ///< superblocks published into the TT
-  uint64_t AsyncDiscardedEpoch = 0; ///< lost to a TT flush/invalidation
-  uint64_t AsyncDiscardedStale = 0; ///< guest code changed under the job
-  uint64_t AsyncAbandoned = 0;      ///< still queued/unpublished at exit
-  uint64_t QueueFullFallbacks = 0;  ///< backpressure -> inline translation
-  uint64_t WorkerFailures = 0;
-  uint64_t QueueHighWater = 0;
-  uint64_t SyncPromotions = 0;      ///< promotions run inline (stalls)
-  double InstallLatencySeconds = 0; ///< enqueue -> publication, summed
-  double SyncPromoStallSeconds = 0; ///< guest time lost to inline promotion
-  double EnqueueSeconds = 0;        ///< guest time spent snapshotting/queueing
   // Trace-tier counters (only when --trace-tier is on).
   bool HasTraces = false;
   uint64_t TraceRequests = 0;     ///< trace formations attempted
   uint64_t TracesFormed = 0;      ///< traces installed over tier-1 heads
-  uint64_t TraceAborts = 0;       ///< spill overflow / worker failure
+  uint64_t TraceAborts = 0;       ///< spill overflow
   uint64_t TraceExecs = 0;        ///< trace entries executed
   uint64_t TraceSideExits = 0;    ///< exits taken through a guarded side exit
   uint64_t TraceDeadFlagPuts = 0; ///< dead CC-thunk writes deleted
@@ -147,20 +106,6 @@ struct ProfCounters {
   uint64_t CacheDirBytes = 0;     ///< on-disk footprint at exit
   double CacheLoadSeconds = 0;    ///< read+validate+install, summed
   double CacheStoreSeconds = 0;   ///< serialize+write-back, summed
-  // Translation-server counters (only when --tt-server is set).
-  bool HasTransServer = false;
-  uint64_t ServerRequests = 0;  ///< server lookups settled
-  uint64_t ServerHits = 0;      ///< fetched, validated, installed
-  uint64_t ServerMisses = 0;
-  uint64_t ServerRejects = 0;   ///< fetched but failed validation
-  uint64_t ServerTimeouts = 0;
-  uint64_t ServerRetries = 0;
-  uint64_t ServerFallbacks = 0; ///< lookups degraded down the ladder
-  uint64_t ServerWrites = 0;    ///< entries pushed to the daemon
-  uint64_t ServerBytesFetched = 0;
-  uint64_t ServerBytesSent = 0;
-  double ServerFetchSeconds = 0;
-  bool ServerAlive = false; ///< daemon still reachable at exit
 };
 
 /// Accumulates profile data for one run.
@@ -183,20 +128,6 @@ public:
 
   /// One block entry (dispatcher entry or chained transfer) at \p Addr.
   void noteExec(uint32_t Addr) { ++Blocks[Addr].Execs; }
-
-  /// One phase sample (the sync pipeline's RAII timer lands here).
-  void notePhase(ProfPhase Ph, double Seconds) {
-    notePhaseSeconds(Ph, Seconds);
-  }
-
-  /// Folds a worker's privately-accumulated phase times in. Guest thread
-  /// only; workers never touch the Profiler directly.
-  void mergePhases(const PhaseTimes &PT) {
-    for (unsigned I = 0; I != NPhases; ++I) {
-      PhaseSeconds[I] += PT.Seconds[I];
-      PhaseCounts[I] += PT.Counts[I];
-    }
-  }
 
   /// A translation of \p Addr finished (Tier 1 = hot superblock).
   void noteTranslation(uint32_t Addr, uint32_t NumInsns, unsigned Tier,

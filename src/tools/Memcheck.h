@@ -132,7 +132,7 @@ private:
 
   // Statistics for the summary line. Atomic (relaxed): the helpers run
   // lock-free inside Exec.run, concurrently across shards under
-  // --sched-threads=N and racing the guest thread under --jit-threads=N.
+  // --sched-threads=N.
   std::atomic<uint64_t> ShadowLoads{0}, ShadowStores{0};
 };
 

@@ -74,16 +74,17 @@ TEST(MtSched, CpuHammerMatchesSerial) {
   }
 }
 
-// Same hammer with the full JIT stack lit up: chaining, hot promotion on
-// background JIT threads, and trace formation all racing the shards.
-TEST(MtSched, CpuHammerWithChainingAndJitThreads) {
+// Same hammer with the tiered JIT lit up: chaining, hot promotion, and
+// trace formation under the world lock, with four shards racing through
+// the lock-free chain thunks.
+TEST(MtSched, CpuHammerWithChainingAndTraces) {
   GuestImage Img = buildWorkload("mtcpu", 8);
   RunReport Serial = runNul(Img, {});
   expectClean(Serial);
 
   for (int Round = 0; Round != 3; ++Round) {
     RunReport Mt = runNul(Img, {"--sched-threads=4", "--chaining=yes",
-                                "--hot-threshold=20", "--jit-threads=2"});
+                                "--hot-threshold=20", "--trace-tier=yes"});
     expectClean(Mt);
     EXPECT_EQ(Mt.Stdout, Serial.Stdout) << "round " << Round;
   }

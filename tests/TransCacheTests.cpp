@@ -6,8 +6,8 @@
 /// rejection of stale/poisoned/corrupt entries (truncations and bit flips
 /// must be misses, never crashes, never garbage installs), size-budget
 /// eviction, the hard option-validation errors, and end-to-end cold/warm
-/// equivalence under a full Core — including with background workers on
-/// (the ThreadSanitizer target of the `concurrency` ctest label).
+/// equivalence under a full Core. Concurrent writers racing on one key are
+/// the ThreadSanitizer target of the `concurrency` ctest label.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,8 +94,7 @@ struct CacheStubHost : TranslationHost {
   void noteTranslation(uint32_t, const Translation &, double) override {
     ++Notes;
   }
-  void mergePhaseTimes(const PhaseTimes &) override {}
-  void promotionInstalled(Translation *, uint64_t) override { ++Installs; }
+  void traceInstalled(Translation *, uint64_t) override { ++Installs; }
 };
 
 /// A bank of tiny blocks plus a service with a cache attached to \p Dir.
@@ -281,13 +280,16 @@ TEST(TransCache, GarbageFilesInDirAreIgnored) {
 
 // A zero-length entry file — what a writer killed between open and first
 // write leaves behind — must be Malformed (a reject), never a hit
-// candidate and never a crash. Pinned both at the decode layer and
-// through the full service path.
+// candidate and never a crash. Pinned both at the load layer and through
+// the full service path.
 TEST(TransCache, ZeroLengthEntryIsMalformed) {
-  TransCacheEntry E;
-  EXPECT_EQ(TransCache::decodeEntryFile({}, /*ConfigHash=*/1, /*Key=*/2, E,
-                                        /*ResolveCallees=*/true),
-            TransCache::LoadResult::Malformed);
+  {
+    ScratchDir Dir;
+    TransCache C(Dir.str(), 0, /*ConfigHash=*/1);
+    std::ofstream(C.entryPath(/*Key=*/2), std::ios::binary).flush();
+    TransCacheEntry E;
+    EXPECT_EQ(C.load(/*Key=*/2, E), TransCache::LoadResult::Malformed);
+  }
 
   ScratchDir Dir;
   {
@@ -313,20 +315,17 @@ TEST(TransCache, ZeroLengthEntryIsMalformed) {
 //===----------------------------------------------------------------------===//
 
 // Two cache instances (standing in for two processes racing on a shared
-// --tt-cache directory) hammer the SAME key with images of different
-// sizes while a reader polls the published file. Every observation must
-// be one complete image — a shared temp-file name would let the writers
-// interleave and rename a torn mix into place, which the whole-payload
-// checksum then exposes as Malformed.
+// --tt-cache directory) hammer the SAME key with entries of different
+// sizes while a reader polls it. Every observation must be one complete
+// entry — a shared temp-file name would let the writers interleave and
+// rename a torn mix into place, which the whole-payload checksum then
+// exposes as Malformed.
 TEST(TransCacheConcurrency, TwoWritersSameKeyNeverTearAnEntry) {
-  // Two valid images of different lengths, made by translating blocks of
-  // different instruction counts through a cold service run.
+  // Two valid entries of different lengths, made by translating blocks of
+  // different instruction counts through a cold service run and loading
+  // them back.
   ScratchDir SrcDir;
-  struct Image {
-    uint64_t Key;
-    std::vector<uint8_t> Bytes;
-  };
-  std::vector<Image> Images;
+  std::vector<TransCacheEntry> Entries;
   {
     GuestMemory Mem;
     CacheStubHost Host;
@@ -348,52 +347,42 @@ TEST(TransCacheConcurrency, TwoWritersSameKeyNeverTearAnEntry) {
     XS.attachCache(std::make_unique<TransCache>(SrcDir.str(), 0, /*CH=*/1));
     for (uint32_t PC : Blocks)
       XS.translateSync(PC, false);
+    TransCache Src(SrcDir.str(), 0, /*ConfigHash=*/1);
     for (const auto &DE : fs::directory_iterator(SrcDir.Path)) {
       std::string Stem = DE.path().stem().string();
       ASSERT_EQ(Stem.size(), 33u);
-      Image I;
-      I.Key = std::strtoull(Stem.substr(17).c_str(), nullptr, 16);
-      std::ifstream F(DE.path(), std::ios::binary);
-      I.Bytes.assign(std::istreambuf_iterator<char>(F),
-                     std::istreambuf_iterator<char>());
-      Images.push_back(std::move(I));
+      uint64_t Key = std::strtoull(Stem.substr(17).c_str(), nullptr, 16);
+      TransCacheEntry E;
+      ASSERT_EQ(Src.load(Key, E), TransCache::LoadResult::Found);
+      Entries.push_back(std::move(E));
     }
   }
-  ASSERT_EQ(Images.size(), 2u);
-  ASSERT_NE(Images[0].Bytes.size(), Images[1].Bytes.size());
+  ASSERT_EQ(Entries.size(), 2u);
+  ASSERT_NE(Entries[0].Bytes.size(), Entries[1].Bytes.size());
 
   ScratchDir Dir;
   constexpr uint64_t SharedKey = 0x5EED;
   constexpr int Rounds = 300;
   std::atomic<bool> WritersDone{false};
   std::atomic<int> Torn{0};
-  auto writer = [&](const Image &I) {
+  auto writer = [&](const TransCacheEntry &E) {
     TransCache C(Dir.str(), 0, /*ConfigHash=*/1);
     for (int R = 0; R != Rounds; ++R)
-      ASSERT_TRUE(C.storeFile(SharedKey, I.Bytes));
+      ASSERT_TRUE(C.store(SharedKey, E));
   };
-  std::thread W1(writer, std::cref(Images[0]));
-  std::thread W2(writer, std::cref(Images[1]));
+  TransCache ReaderCache(Dir.str(), 0, /*ConfigHash=*/1);
+  std::thread W1(writer, std::cref(Entries[0]));
+  std::thread W2(writer, std::cref(Entries[1]));
   std::thread Reader([&] {
-    std::string Path =
-        Dir.str() + "/" + TransCache::entryFileName(1, SharedKey);
     while (!WritersDone.load(std::memory_order_acquire)) {
-      std::ifstream F(Path, std::ios::binary);
-      if (!F.good())
-        continue; // nothing published yet
-      std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(F)),
-                                 std::istreambuf_iterator<char>());
       // Whichever writer's rename won, the file must be one of the two
-      // complete images: decode it against the key its SIZE claims it is.
-      const Image *Want = nullptr;
-      for (const Image &I : Images)
-        if (I.Bytes.size() == Bytes.size())
-          Want = &I;
+      // complete entries (NotFound: nothing published yet).
       TransCacheEntry E;
-      if (!Want ||
-          TransCache::decodeEntryFile(Bytes, 1, Want->Key, E,
-                                      /*ResolveCallees=*/false) !=
-              TransCache::LoadResult::Found)
+      TransCache::LoadResult R = ReaderCache.load(SharedKey, E);
+      if (R == TransCache::LoadResult::NotFound)
+        continue;
+      if (R != TransCache::LoadResult::Found ||
+          (E.Bytes != Entries[0].Bytes && E.Bytes != Entries[1].Bytes))
         Torn.fetch_add(1);
     }
   });
@@ -502,20 +491,20 @@ GuestImage trivialProgram() {
 
 using OptionDeathTest = ::testing::Test;
 
-TEST(OptionDeathTest, NonNumericJitThreadsIsFatal) {
+TEST(OptionDeathTest, NonNumericSchedThreadsIsFatal) {
   GuestImage Img = trivialProgram();
   Nulgrind T;
-  EXPECT_EXIT(runUnderCore(Img, &T, {"--jit-threads=abc"}),
+  EXPECT_EXIT(runUnderCore(Img, &T, {"--sched-threads=abc"}),
               ::testing::ExitedWithCode(1),
-              "--jit-threads=abc: expected an integer in \\[0, 16\\]");
+              "--sched-threads=abc: expected an integer in \\[1, 16\\]");
 }
 
-TEST(OptionDeathTest, NegativeQueueDepthIsFatal) {
+TEST(OptionDeathTest, NegativeSchedThreadsIsFatal) {
   GuestImage Img = trivialProgram();
   Nulgrind T;
-  EXPECT_EXIT(runUnderCore(Img, &T, {"--jit-queue-depth=-1"}),
+  EXPECT_EXIT(runUnderCore(Img, &T, {"--sched-threads=-1"}),
               ::testing::ExitedWithCode(1),
-              "--jit-queue-depth=-1: expected an integer in \\[1, 1024\\]");
+              "--sched-threads=-1: expected an integer in \\[1, 16\\]");
 }
 
 TEST(OptionDeathTest, NonNumericCacheBudgetIsFatal) {
@@ -532,10 +521,21 @@ TEST(OptionDeathTest, NonNumericCacheBudgetIsFatal) {
 TEST(OptionDeathTest, TrailingJunkAndRangeViolationsAreFatal) {
   GuestImage Img = trivialProgram();
   Nulgrind T;
-  EXPECT_EXIT(runUnderCore(Img, &T, {"--jit-threads=2x"}),
+  EXPECT_EXIT(runUnderCore(Img, &T, {"--sched-threads=2x"}),
               ::testing::ExitedWithCode(1), "expected an integer");
-  EXPECT_EXIT(runUnderCore(Img, &T, {"--jit-threads=17"}),
+  EXPECT_EXIT(runUnderCore(Img, &T, {"--sched-threads=17"}),
               ::testing::ExitedWithCode(1), "expected an integer");
+}
+
+// The removed translation-supply options are gone, not silently ignored:
+// each is an unknown-option usage error.
+TEST(OptionDeathTest, RemovedJitAndServerOptionsAreUnknown) {
+  GuestImage Img = trivialProgram();
+  Nulgrind T;
+  EXPECT_EXIT(runUnderCore(Img, &T, {"--jit-threads=2"}),
+              ::testing::ExitedWithCode(1), "unknown option: --jit-threads");
+  EXPECT_EXIT(runUnderCore(Img, &T, {"--tt-server=x"}),
+              ::testing::ExitedWithCode(1), "unknown option: --tt-server");
 }
 
 TEST(OptionDeathTest, NonNumericHotAndTraceThresholdsAreFatal) {
@@ -606,13 +606,16 @@ GuestImage loopProgram() {
       .build();
 }
 
-// Valid values at the range edges still work (the check is not
-// over-eager): hex syntax parses and the run behaves like --jit-threads=2.
+// Valid values still work (the check is not over-eager): hex syntax
+// parses, and the runs behave like --sched-threads=2 / --hot-threshold=16.
 TEST(TransCacheEndToEnd, ValidOptionValuesStillParse) {
   GuestImage Img = loopProgram();
-  Nulgrind T;
-  RunReport R = runUnderCore(Img, &T, {"--jit-threads=0x2"});
+  Nulgrind T1, T2;
+  RunReport R = runUnderCore(Img, &T1, {"--sched-threads=0x2"});
   EXPECT_TRUE(R.Completed);
+  RunReport H = runUnderCore(Img, &T2, {"--hot-threshold=0x10"});
+  EXPECT_TRUE(H.Completed);
+  EXPECT_GT(H.Stats.HotPromotions, 0u);
 }
 
 TEST(TransCacheEndToEnd, WarmRunSkipsPipelineAndMatchesCold) {
@@ -720,36 +723,6 @@ TEST(TransCacheEndToEnd, TraceTierTranslationsBypassCache) {
   EXPECT_GT(Warm.Stats.TracesFormed, 0u);
   // And nothing about the warm run's traces was newly persisted either.
   EXPECT_EQ(Warm.Jit.CacheWrites, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Concurrency: cache + background workers (TSan target)
-//===----------------------------------------------------------------------===//
-
-// All cache traffic stays on the guest thread by construction; this runs
-// the full cold/warm cycle with two workers racing the guest thread so the
-// tsan preset can prove it. The async accounting identity must also hold
-// on both runs.
-TEST(TransCacheConcurrency, ColdWarmWithBackgroundWorkers) {
-  ScratchDir Dir;
-  GuestImage Img = buildWorkload("crafty", 1);
-  std::vector<std::string> Opts = {"--chaining=yes", "--hot-threshold=2",
-                                   "--jit-threads=2",
-                                   "--tt-cache=" + Dir.str()};
-  Nulgrind T1, T2;
-  RunReport Cold = runUnderCore(Img, &T1, Opts);
-  RunReport Warm = runUnderCore(Img, &T2, Opts);
-  ASSERT_TRUE(Cold.Completed);
-  ASSERT_TRUE(Warm.Completed);
-  EXPECT_EQ(Warm.Stdout, Cold.Stdout);
-  EXPECT_GT(Cold.Jit.CacheWrites, 0u);
-  EXPECT_GT(Warm.Jit.CacheHits, 0u);
-  for (const RunReport *R : {&Cold, &Warm}) {
-    const JitStats &J = R->Jit;
-    EXPECT_EQ(J.AsyncRequests, J.AsyncInstalled + J.AsyncDiscardedEpoch +
-                                   J.AsyncDiscardedStale + J.WorkerFailures +
-                                   J.AsyncAbandoned);
-  }
 }
 
 } // namespace
