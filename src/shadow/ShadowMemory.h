@@ -225,6 +225,35 @@ public:
     return 1;
   }
 
+  /// Calls \p F(Addr) for each 4-aligned word in [Start, End), in
+  /// ascending order, whose four A-bits are all set: the same words a
+  /// per-word isAddressable(Addr, 4) loop accepts, at a cost proportional
+  /// to the materialised chunks in the range. The primary is read once per
+  /// 64KB chunk and a DsmNoAccess chunk is skipped whole. It bypasses the
+  /// last-secondary cache, so it leaves the cache statistics alone. The
+  /// bounds are 64-bit so a range ending at the top of the space cannot
+  /// wrap. Callers must exclude concurrent range operations (Memcheck's
+  /// leak scan runs with the world stopped).
+  template <typename Fn>
+  void forEachAddressableWord(uint64_t Start, uint64_t End, Fn F) const {
+    End = End < (1ull << 32) ? End : (1ull << 32);
+    for (uint64_t A = (Start + 3) & ~3ull; A + 4 <= End;) {
+      uint64_t ChunkEnd = ((A >> ChunkBits) + 1) << ChunkBits;
+      uint64_t Stop = ChunkEnd < End ? ChunkEnd : End;
+      const Secondary *S =
+          Primary[A >> ChunkBits].load(std::memory_order_acquire);
+      if (S != &DsmNoAccess) {
+        for (; A + 4 <= Stop; A += 4) {
+          uint32_t Off = static_cast<uint32_t>(A) & (ChunkSize - 1);
+          uint8_t Mask = static_cast<uint8_t>(0x0Fu << (Off & 7));
+          if ((S->A[Off >> 3] & Mask) == Mask)
+            F(static_cast<uint32_t>(A));
+        }
+      }
+      A = ChunkEnd;
+    }
+  }
+
   bool isAddressable(uint32_t Addr, uint32_t Len, uint32_t &FirstBad) const;
   /// True if [Addr,Addr+Len) is fully addressable and defined; else sets
   /// \p FirstBad to the first offending byte and \p BadIsUnaddressable.

@@ -4,6 +4,7 @@
 
 #include "guest/GuestArch.h"
 
+#include <algorithm>
 #include <cinttypes>
 
 using namespace vg;
@@ -734,18 +735,28 @@ void Memcheck::leakCheck() {
   const auto &Blocks = C->heapBlocks();
   if (Blocks.empty())
     return;
-  // Conservative pointer scan: any aligned, defined word anywhere in
-  // addressable memory or in the registers that points into a block keeps
-  // it. (Real Memcheck distinguishes start/interior pointers; we treat
-  // both as reachable.)
-  std::vector<std::pair<uint32_t, uint32_t>> Ranges; // payload, size
-  for (auto [A, S] : Blocks)
-    Ranges.push_back({A, S});
+  // Conservative pointer scan: any aligned word whose four bytes are
+  // addressable (defined or not), anywhere in client memory, or any
+  // register of a live thread, that points into a block keeps it. (Real
+  // Memcheck distinguishes start/interior pointers; we treat both as
+  // reachable.)
+  std::vector<std::pair<uint32_t, uint32_t>> Ranges(Blocks.begin(),
+                                                    Blocks.end());
+  // Ranges holds (payload, size) sorted by payload (it comes from a
+  // std::map), and blocks never overlap, so only the last block starting
+  // at or below V can contain it.
   auto FindBlock = [&](uint32_t V) -> int {
-    for (size_t I = 0; I != Ranges.size(); ++I)
-      if (V >= Ranges[I].first && V < Ranges[I].first + Ranges[I].second)
-        return static_cast<int>(I);
-    return -1;
+    auto It = std::upper_bound(
+        Ranges.begin(), Ranges.end(), V,
+        [](uint32_t X, const std::pair<uint32_t, uint32_t> &R) {
+          return X < R.first;
+        });
+    if (It == Ranges.begin())
+      return -1;
+    --It;
+    if (V - It->first >= It->second)
+      return -1;
+    return static_cast<int>(It - Ranges.begin());
   };
 
   std::vector<bool> Reached(Ranges.size(), false);
@@ -762,20 +773,17 @@ void Memcheck::leakCheck() {
     for (unsigned R = 0; R != NumGPRs; ++R)
       ScanWord(TS.gpr(R));
   }
-  // All client segments (data, stack, heap, mmaps).
+  // All client segments (data, stack, heap, mmaps). The shadow walk skips
+  // unmaterialised NoAccess chunks whole, so an almost empty heap arena
+  // costs one primary read per 64KB.
   for (const Segment &S : C->addressSpace().segments()) {
     if (S.Kind == SegKind::CoreReserved || S.Kind == SegKind::ClientText)
       continue;
-    for (uint32_t A = S.Start; A + 4 <= S.End; A += 4) {
-      uint32_t Bad;
-      if (!SM.isAddressable(A, 4, Bad)) {
-        A = (Bad & ~3u); // skip to the next aligned word after the hole
-        continue;
-      }
+    SM.forEachAddressableWord(S.Start, S.End, [&](uint32_t A) {
       uint32_t V;
       if (!C->memory().read(A, &V, 4, true).Faulted)
         ScanWord(V);
-    }
+    });
   }
 
   uint64_t LostBytes = 0, LostBlocks = 0;

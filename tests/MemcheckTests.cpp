@@ -418,6 +418,191 @@ TEST(Memcheck, LeakCheckCanBeDisabled) {
   EXPECT_TRUE(M.has("in use at exit: 100 bytes in 1 blocks")) << M.Output;
 }
 
+/// Zeroes R0-R13 so no register holds a heap pointer at exit (SP and LR
+/// point at the stack and code).
+void clearRegs(Assembler &Code) {
+  for (unsigned R = 0; R != 14; ++R)
+    Code.movi(static_cast<Reg>(R), 0);
+}
+
+TEST(Memcheck, BlockReachableThroughHeapChainNotLeaked) {
+  McRun M = runMc(buildProgram([](Assembler &Code, Assembler &Data,
+                                  GuestLibLabels &Lib) {
+    Label Global = Data.boundLabel();
+    Data.emitZeros(4);
+    Code.movi(Reg::R1, 16);
+    Code.call(Lib.Malloc);
+    Code.movi(Reg::R3, Data.labelAddr(Global));
+    Code.st(Reg::R3, 0, Reg::R0); // global -> A
+    Code.mov(Reg::R6, Reg::R0);
+    Code.movi(Reg::R1, 100);
+    Code.call(Lib.Malloc);
+    Code.st(Reg::R6, 0, Reg::R0); // A -> B: B's only pointer
+    clearRegs(Code);
+    Code.ret();
+  }));
+  EXPECT_TRUE(M.has("in use at exit: 116 bytes in 2 blocks")) << M.Output;
+  EXPECT_TRUE(M.has("definitely lost: 0 bytes in 0 blocks")) << M.Output;
+}
+
+TEST(Memcheck, InteriorPointerKeepsBlock) {
+  McRun M = runMc(buildProgram([](Assembler &Code, Assembler &Data,
+                                  GuestLibLabels &Lib) {
+    Label Global = Data.boundLabel();
+    Data.emitZeros(4);
+    Code.movi(Reg::R1, 100);
+    Code.call(Lib.Malloc);
+    Code.addi(Reg::R0, Reg::R0, 40);
+    Code.movi(Reg::R3, Data.labelAddr(Global));
+    Code.st(Reg::R3, 0, Reg::R0); // only an interior pointer survives
+    clearRegs(Code);
+    Code.ret();
+  }));
+  EXPECT_TRUE(M.has("definitely lost: 0 bytes in 0 blocks")) << M.Output;
+}
+
+TEST(Memcheck, PointerInRegisterAtExitKeepsBlock) {
+  McRun M = runMc(buildProgram([](Assembler &Code, Assembler &,
+                                  GuestLibLabels &Lib) {
+    Code.movi(Reg::R1, 100);
+    Code.call(Lib.Malloc);
+    Code.mov(Reg::R9, Reg::R0); // the only copy, in a register
+    Code.movi(Reg::R0, 0);
+    Code.ret();
+  }));
+  EXPECT_TRUE(M.has("definitely lost: 0 bytes in 0 blocks")) << M.Output;
+}
+
+TEST(Memcheck, PointerInsideFreedBlockDoesNotKeepTarget) {
+  McRun M = runMc(buildProgram([](Assembler &Code, Assembler &,
+                                  GuestLibLabels &Lib) {
+    Code.movi(Reg::R1, 16);
+    Code.call(Lib.Malloc);
+    Code.mov(Reg::R6, Reg::R0); // A
+    Code.movi(Reg::R1, 100);
+    Code.call(Lib.Malloc);
+    Code.st(Reg::R6, 0, Reg::R0); // A -> B
+    Code.mov(Reg::R1, Reg::R6);
+    Code.call(Lib.Free); // A's words become unaddressable
+    clearRegs(Code);
+    Code.ret();
+  }));
+  EXPECT_TRUE(M.has("in use at exit: 100 bytes in 1 blocks")) << M.Output;
+  EXPECT_TRUE(M.has("definitely lost: 100 bytes in 1 blocks")) << M.Output;
+}
+
+TEST(Memcheck, PointerPastFirstArenaChunkIsScanned) {
+  // A 68KB block spans the first two 64KB shadow chunks of the heap arena;
+  // B's only pointer sits in A's second chunk, and C (never stored) lies
+  // past the first chunk too.
+  McRun M = runMc(buildProgram([](Assembler &Code, Assembler &Data,
+                                  GuestLibLabels &Lib) {
+    Label Global = Data.boundLabel();
+    Data.emitZeros(4);
+    Code.movi(Reg::R1, 0x11000);
+    Code.call(Lib.Malloc);
+    Code.movi(Reg::R3, Data.labelAddr(Global));
+    Code.st(Reg::R3, 0, Reg::R0); // global -> A
+    Code.mov(Reg::R6, Reg::R0);
+    Code.movi(Reg::R1, 100);
+    Code.call(Lib.Malloc);
+    Code.movi(Reg::R2, 0x10800);
+    Code.add(Reg::R2, Reg::R6, Reg::R2);
+    Code.st(Reg::R2, 0, Reg::R0); // A + 66KB -> B
+    Code.movi(Reg::R1, 48);
+    Code.call(Lib.Malloc); // C: lost
+    clearRegs(Code);
+    Code.ret();
+  }));
+  EXPECT_TRUE(M.has("in use at exit: 69780 bytes in 3 blocks")) << M.Output;
+  EXPECT_TRUE(M.has("definitely lost: 48 bytes in 1 blocks")) << M.Output;
+}
+
+TEST(Memcheck, EveryOtherOfFortyBlocksLost) {
+  // Block i has 16 + 4i bytes. The even blocks' start pointers are kept;
+  // the odd blocks keep only one-past-the-end pointers, which point into
+  // their red zones and must not keep them (nor their neighbours).
+  McRun M = runMc(buildProgram([](Assembler &Code, Assembler &Data,
+                                  GuestLibLabels &Lib) {
+    Label Kept = Data.boundLabel();
+    Data.emitZeros(20 * 4);
+    Label Ends = Data.boundLabel();
+    Data.emitZeros(20 * 4);
+    Code.movi(Reg::R6, Data.labelAddr(Kept));
+    Code.movi(Reg::R8, Data.labelAddr(Ends));
+    Code.movi(Reg::R7, 0); // i
+    Label Loop = Code.boundLabel();
+    Code.add(Reg::R9, Reg::R7, Reg::R7);
+    Code.add(Reg::R9, Reg::R9, Reg::R9);
+    Code.addi(Reg::R9, Reg::R9, 16); // size = 16 + 4i
+    Code.mov(Reg::R1, Reg::R9);
+    Code.call(Lib.Malloc);
+    Code.andi(Reg::R2, Reg::R7, 1);
+    Code.cmpi(Reg::R2, 0);
+    Label Odd = Code.newLabel(), Next = Code.newLabel();
+    Code.bne(Odd);
+    Code.st(Reg::R6, 0, Reg::R0);
+    Code.addi(Reg::R6, Reg::R6, 4);
+    Code.jmp(Next);
+    Code.bind(Odd);
+    Code.add(Reg::R3, Reg::R0, Reg::R9);
+    Code.st(Reg::R8, 0, Reg::R3);
+    Code.addi(Reg::R8, Reg::R8, 4);
+    Code.bind(Next);
+    Code.addi(Reg::R7, Reg::R7, 1);
+    Code.cmpi(Reg::R7, 40);
+    Code.blt(Loop);
+    clearRegs(Code);
+    Code.ret();
+  }));
+  EXPECT_TRUE(M.has("in use at exit: 3760 bytes in 40 blocks")) << M.Output;
+  EXPECT_TRUE(M.has("definitely lost: 1920 bytes in 20 blocks")) << M.Output;
+}
+
+/// Memcheck that records the shadow map's secondary-cache lookups just
+/// before and just after its exit-time work (heap summary and leak scan).
+class FiniCountingMemcheck : public Memcheck {
+public:
+  uint64_t LookupsBefore = 0, LookupsAfter = 0;
+  void fini(int ExitCode) override {
+    LookupsBefore = lookups();
+    Memcheck::fini(ExitCode);
+    LookupsAfter = lookups();
+  }
+
+private:
+  uint64_t lookups() {
+    const ShadowStats &St = shadow().stats();
+    return St.SecCacheHits + St.SecCacheMisses;
+  }
+};
+
+TEST(Memcheck, LeakScanWorkIsBoundedByLiveShadow) {
+  // The replacement heap reserves a 64MB arena; the leak scan must not
+  // probe the shadow map once per word of it (~16.8M lookups) when only a
+  // couple of blocks live there.
+  FiniCountingMemcheck T;
+  GuestImage Img = buildProgram([](Assembler &Code, Assembler &Data,
+                                   GuestLibLabels &Lib) {
+    Label Global = Data.boundLabel();
+    Data.emitZeros(4);
+    Code.movi(Reg::R1, 64);
+    Code.call(Lib.Malloc);
+    Code.movi(Reg::R3, Data.labelAddr(Global));
+    Code.st(Reg::R3, 0, Reg::R0);
+    Code.movi(Reg::R1, 32);
+    Code.call(Lib.Malloc); // lost
+    clearRegs(Code);
+    Code.ret();
+  });
+  RunReport R = runUnderCore(Img, &T, {});
+  ASSERT_TRUE(R.Completed);
+  EXPECT_NE(R.ToolOutput.find("definitely lost: 32 bytes in 1 blocks"),
+            std::string::npos)
+      << R.ToolOutput;
+  EXPECT_LT(T.LookupsAfter - T.LookupsBefore, 65536u);
+}
+
 //===----------------------------------------------------------------------===//
 // Syscall checking (R4) and client requests
 //===----------------------------------------------------------------------===//

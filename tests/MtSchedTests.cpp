@@ -4,7 +4,8 @@
 /// Hammer tests for --sched-threads=N true parallel guest execution
 /// (Section 3.14): multi-threaded CPU-bound and signal-heavy guests must
 /// produce the same stdout under the sharded scheduler as under the
-/// serialised one, with Memcheck staying error-clean; --sched-threads=1
+/// serialised one, with Memcheck staying error-clean and printing the same
+/// heap and leak summaries; --sched-threads=1
 /// must replay byte-identically against a run that never mentions the
 /// option at all (same scheduling decisions, same --trace-events stream);
 /// and the formerly racy Translation::EdgeExecs counters are pinned as
@@ -49,6 +50,23 @@ RunReport runNul(const GuestImage &Img, std::vector<std::string> Opts) {
 RunReport runMc(const GuestImage &Img, std::vector<std::string> Opts) {
   Memcheck T;
   return runUnderCore(Img, &T, Opts);
+}
+
+/// The HEAP SUMMARY and LEAK SUMMARY lines of a Memcheck run's output.
+std::string heapAndLeakLines(const std::string &Output) {
+  std::string Out;
+  size_t Pos = 0;
+  while (Pos < Output.size()) {
+    size_t End = Output.find('\n', Pos);
+    if (End == std::string::npos)
+      End = Output.size();
+    std::string Line = Output.substr(Pos, End - Pos);
+    if (Line.find("HEAP SUMMARY") != std::string::npos ||
+        Line.find("LEAK SUMMARY") != std::string::npos)
+      Out += Line + "\n";
+    Pos = End + 1;
+  }
+  return Out;
 }
 
 void expectClean(const RunReport &R) {
@@ -122,6 +140,22 @@ TEST(MtSched, MemcheckParallelCleanAndDeterministicOutput) {
   EXPECT_EQ(Mt.Stdout, Serial.Stdout);
   EXPECT_NE(Mt.ToolOutput.find("ERROR SUMMARY: 0 errors"), std::string::npos)
       << Mt.ToolOutput;
+  EXPECT_EQ(heapAndLeakLines(Mt.ToolOutput),
+            heapAndLeakLines(Serial.ToolOutput));
+
+  // mtcpu ends with an empty heap, so the exit-time leak scan (a walk of
+  // the shadow map after the shards stop) runs on art, which keeps blocks
+  // live to the end.
+  GuestImage Heap = buildWorkload("art", 1);
+  RunReport HeapSerial = runMc(Heap, {});
+  expectClean(HeapSerial);
+  RunReport HeapMt = runMc(Heap, {"--sched-threads=4"});
+  expectClean(HeapMt);
+  EXPECT_EQ(HeapMt.Stdout, HeapSerial.Stdout);
+  std::string Summary = heapAndLeakLines(HeapSerial.ToolOutput);
+  EXPECT_NE(Summary.find("LEAK SUMMARY"), std::string::npos)
+      << HeapSerial.ToolOutput;
+  EXPECT_EQ(heapAndLeakLines(HeapMt.ToolOutput), Summary);
 }
 
 // --sched-threads=1 must be byte-identical to a run that never passes the

@@ -5,9 +5,10 @@
 /// aligned whole-word loadV/storeV route, the one-entry last-secondary
 /// cache (including its invalidation on range operations), copy-on-write
 /// materialisation from both distinguished secondaries, reclamation of
-/// owned chunks back to the free list, the non-faulting JIT probes, and a
-/// randomized equivalence check of the word path against a byte-by-byte
-/// reference.
+/// owned chunks back to the free list, the non-faulting JIT probes, and
+/// randomized equivalence checks of the word path against a byte-by-byte
+/// reference and of the addressable-word walker against a per-word
+/// isAddressable loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 using namespace vg;
 
@@ -42,6 +45,27 @@ uint64_t refLoadV(const ShadowMap &SM, uint32_t Addr, uint32_t Size,
     V |= static_cast<uint64_t>(VB) << (8 * I);
   }
   return V;
+}
+
+/// Per-word reference for forEachAddressableWord: the 4-aligned words in
+/// [Start, End) that isAddressable accepts.
+std::vector<uint32_t> refAddressableWords(const ShadowMap &SM, uint64_t Start,
+                                          uint64_t End) {
+  std::vector<uint32_t> Out;
+  for (uint64_t A = (Start + 3) & ~3ull; A + 4 <= End; A += 4) {
+    uint32_t Bad;
+    if (SM.isAddressable(static_cast<uint32_t>(A), 4, Bad))
+      Out.push_back(static_cast<uint32_t>(A));
+  }
+  return Out;
+}
+
+std::vector<uint32_t> walkAddressableWords(const ShadowMap &SM,
+                                           uint64_t Start, uint64_t End) {
+  std::vector<uint32_t> Out;
+  SM.forEachAddressableWord(Start, End,
+                            [&](uint32_t A) { Out.push_back(A); });
+  return Out;
 }
 
 /// Byte-loop reference for storeV (writes V only where addressable).
@@ -396,6 +420,86 @@ TEST(ShadowFast, RandomizedStoresMatchByteLoopReference) {
       ASSERT_EQ(SM.vbyte(Base + I), Ref.vbyte(Base + I)) << I;
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Randomized equivalence: addressable-word walker vs per-word loop
+//===----------------------------------------------------------------------===//
+
+TEST(ShadowFast, RandomizedWalkerMatchesPerWordReference) {
+  ShadowMap SM;
+  std::mt19937 Rng(0xA11CE);
+  // Four chunks in the middle of the space, and the last chunks below the
+  // highest page-aligned segment end.
+  const uint64_t Lo = 40ull * CS, Hi = Lo + 4ull * CS;
+  const uint64_t TopEnd = 0xFFFFF000ull, TopLo = TopEnd - 2ull * CS;
+  // Picks an address near a chunk edge (to the byte), or anywhere.
+  auto PickAddr = [&](uint64_t From, uint64_t To) -> uint64_t {
+    if (Rng() % 2) {
+      uint64_t Edge = (From & ~static_cast<uint64_t>(CS - 1)) +
+                      (Rng() % ((To - From) / CS + 2)) * CS;
+      int64_t Jitter = static_cast<int64_t>(Rng() % 9) - 4;
+      Edge = static_cast<uint64_t>(static_cast<int64_t>(Edge) + Jitter);
+      return std::clamp(Edge, From, To);
+    }
+    return From + Rng() % (To - From + 1);
+  };
+  auto Check = [&](uint64_t Start, uint64_t End) {
+    ASSERT_EQ(walkAddressableWords(SM, Start, End),
+              refAddressableWords(SM, Start, End))
+        << "range [" << Start << ", " << End << ")";
+  };
+  for (int Round = 0; Round != 300; ++Round) {
+    bool Top = Rng() % 4 == 0;
+    uint64_t From = Top ? TopLo : Lo, To = Top ? TopEnd : Hi;
+    uint64_t A = PickAddr(From, To), B = PickAddr(From, To);
+    if (Rng() % 5 == 0) { // whole chunks: the distinguished secondaries
+      A &= ~static_cast<uint64_t>(CS - 1);
+      B = std::min(To, A + CS * (1 + Rng() % 2));
+    }
+    if (A > B)
+      std::swap(A, B);
+    if (A == B)
+      continue;
+    uint32_t Addr = static_cast<uint32_t>(A);
+    uint32_t Len = static_cast<uint32_t>(B - A);
+    switch (Rng() % 3) {
+    case 0:
+      SM.makeNoAccess(Addr, Len);
+      break;
+    case 1:
+      SM.makeUndefined(Addr, Len);
+      break;
+    default:
+      SM.makeDefined(Addr, Len);
+      break;
+    }
+    if (Round % 10 == 9) {
+      Check(Lo, Hi);
+      Check(TopLo, TopEnd);
+      uint64_t QA = PickAddr(Lo, Hi), QB = PickAddr(Lo, Hi);
+      Check(std::min(QA, QB), std::max(QA, QB));
+    }
+  }
+  // A whole DsmDefined chunk is walked word by word; the top range ends
+  // exactly at 0xFFFFF000, and a bound past the top of the space clamps
+  // instead of wrapping.
+  SM.makeDefined(static_cast<uint32_t>(Lo + CS), CS);
+  SM.makeDefined(static_cast<uint32_t>(TopEnd - 16), 16);
+  Check(Lo, Hi);
+  Check(TopLo, TopEnd);
+  std::vector<uint32_t> Tail = walkAddressableWords(SM, TopEnd - 16, TopEnd);
+  EXPECT_EQ(Tail, (std::vector<uint32_t>{0xFFFFEFF0u, 0xFFFFEFF4u,
+                                         0xFFFFEFF8u, 0xFFFFEFFCu}));
+  SM.makeDefined(0xFFFFFFF8u, 8);
+  EXPECT_EQ(walkAddressableWords(SM, 0xFFFFFFF0ull, 1ull << 33),
+            (std::vector<uint32_t>{0xFFFFFFF8u, 0xFFFFFFFCu}));
+  // The walk reads the primary directly: the secondary-cache counters
+  // stay put.
+  SM.resetStats();
+  EXPECT_FALSE(walkAddressableWords(SM, 0, 1ull << 32).empty());
+  EXPECT_EQ(SM.stats().SecCacheHits, 0u);
+  EXPECT_EQ(SM.stats().SecCacheMisses, 0u);
 }
 
 } // namespace
