@@ -100,6 +100,17 @@ cmake --build --preset tsan -j \
     --target test_clientrequest >/dev/null
 ctest --preset tsan
 
+echo "== smoke: AddressSanitizer + UBSan (pipeline label) =="
+# The translation pipeline's unit, golden and JIT tests (everything
+# carrying the `pipeline` ctest label, via the asan preset): its dense
+# tables are indexed by tmp, vreg and guest-state byte offset, so any
+# out-of-bounds index or undefined behaviour fails the step.
+cmake --preset asan >/dev/null
+cmake --build --preset asan -j \
+    --target test_ir --target test_hvm --target test_irgolden \
+    --target test_jit --target test_translationservice >/dev/null
+ctest --preset asan
+
 if [ "$FUZZ_SOAK" = "1" ]; then
   echo "== fuzz soak: 2000-iteration acceptance campaign =="
   ./build/src/vgfuzz --iters=2000 --seed=1 --quiet

@@ -2,7 +2,9 @@
 
 #include "core/TranslationService.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 
 using namespace vg;
 
@@ -44,13 +46,21 @@ void TranslationService::fillTranslation(Translation &T, uint32_t PC,
 
 uint64_t TranslationService::hashLive(
     const std::vector<std::pair<uint32_t, uint32_t>> &Extents) const {
+  // One read per page-run of an extent. Reads ignore permissions, so a
+  // run faults only when its page is unmapped, and then hashes as zeros.
+  constexpr uint32_t Page = GuestMemory::PageSize;
   uint64_t H = 0xcbf29ce484222325ULL;
+  uint8_t Buf[Page];
   for (auto [Lo, Hi] : Extents) {
-    for (uint32_t A = Lo; A != Hi; ++A) {
-      uint8_t B = 0;
-      Memory.read(A, &B, 1, /*IgnorePerms=*/true);
-      H ^= B;
-      H *= 0x100000001b3ULL;
+    for (uint32_t A = Lo; A != Hi;) {
+      uint32_t Len = std::min(Hi - A, Page - (A & (Page - 1)));
+      if (Memory.read(A, Buf, Len, /*IgnorePerms=*/true).Faulted)
+        std::memset(Buf, 0, Len);
+      for (uint32_t I = 0; I != Len; ++I) {
+        H ^= Buf[I];
+        H *= 0x100000001b3ULL;
+      }
+      A += Len;
     }
   }
   return H;
@@ -144,11 +154,16 @@ void TranslationService::writeBackToCache(uint64_t Key, const Translation &T) {
 
 TranslatedBlock TranslationService::runPipeline(uint32_t PC,
                                                 const TranslationOptions &TO) {
+  // One fetch for the whole window. Near a non-executable or unmapped
+  // page it faults at the first bad byte; the bytes before it are
+  // fetchable, so a second fetch returns exactly that prefix.
   FetchFn Fetch = [this](uint32_t Addr, uint8_t *Buf,
                          uint32_t MaxLen) -> uint32_t {
-    uint32_t N = 0;
-    while (N < MaxLen && !Memory.fetch(Addr + N, Buf + N, 1).Faulted)
-      ++N;
+    MemFault F = Memory.fetch(Addr, Buf, MaxLen);
+    if (!F.Faulted)
+      return MaxLen;
+    uint32_t N = F.Addr - Addr;
+    Memory.fetch(Addr, Buf, N);
     return N;
   };
   return translateBlock(PC, Fetch, TO);

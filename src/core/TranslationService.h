@@ -117,6 +117,12 @@ public:
   /// branch bias and chain graph, which no cache key captures.
   Translation *translateTrace(const TraceSpec &Spec);
 
+  /// FNV-1a over the live guest bytes of \p Extents, read regardless of
+  /// permissions; bytes of unmapped pages hash as 0. A translation's
+  /// CodeHash, and what a cache entry's hash is checked against.
+  uint64_t hashLive(
+      const std::vector<std::pair<uint32_t, uint32_t>> &Extents) const;
+
 private:
   static double now();
   /// FNV-1a over the first (up to) 64 live guest bytes at \p PC — the
@@ -132,8 +138,6 @@ private:
   /// Serializes an installed translation under \p Key (counts
   /// CacheWrites).
   void writeBackToCache(uint64_t Key, const Translation &T);
-  uint64_t hashLive(
-      const std::vector<std::pair<uint32_t, uint32_t>> &Extents) const;
   /// Runs the pipeline over live guest memory.
   TranslatedBlock runPipeline(uint32_t PC, const TranslationOptions &TO);
   static void fillTranslation(Translation &T, uint32_t PC, bool Hot,

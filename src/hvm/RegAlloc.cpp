@@ -11,7 +11,6 @@
 #include "hvm/ISel.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace vg;
 using namespace vg::hvm;
@@ -19,7 +18,7 @@ using namespace vg::hvm;
 namespace {
 
 struct Interval {
-  RegId VR;
+  RegId VR = NoReg;
   int Start = -1, End = -1;
   RegId HintVR = NoReg; ///< prefer this vreg's assignment (MOV coalescing)
   RegId Phys = NoReg;
@@ -114,30 +113,39 @@ unsigned hvm::allocateRegisters(HostCode &Code) {
   auto &Ins = Code.Instrs;
 
   // --- build live intervals ---------------------------------------------
-  std::map<RegId, Interval> Ivals;
-  std::vector<int> CallPositions;
+  // Intervals are indexed by VR - VirtBase (ISel numbers vregs densely);
+  // CallsBefore[I] counts the CALLs at positions < I.
+  std::vector<Interval> Ivals;
+  std::vector<int> CallsBefore(Ins.size() + 1, 0);
+  auto IntervalOf = [&](RegId VR) -> Interval & {
+    return Ivals[VR - VirtBase];
+  };
   for (size_t Idx = 0; Idx != Ins.size(); ++Idx) {
-    if (Ins[Idx].Op == HOp::CALL)
-      CallPositions.push_back(static_cast<int>(Idx));
+    CallsBefore[Idx + 1] = CallsBefore[Idx] + (Ins[Idx].Op == HOp::CALL);
     UseDef U = operands(Ins[Idx]);
     for (unsigned J = 0; J != U.N; ++J) {
       RegId VR = *U.Regs[J];
-      Interval &IV = Ivals.try_emplace(VR, Interval{VR}).first->second;
-      if (IV.Start < 0)
+      if (VR - VirtBase >= Ivals.size())
+        Ivals.resize(VR - VirtBase + 1);
+      Interval &IV = IntervalOf(VR);
+      if (IV.Start < 0) {
+        IV.VR = VR;
         IV.Start = static_cast<int>(Idx);
+      }
       IV.End = static_cast<int>(Idx);
     }
     // Coalescing hint: MOV dst,src prefers sharing src's register.
     if (Ins[Idx].Op == HOp::MOV && isVirtual(Ins[Idx].Dst) &&
         isVirtual(Ins[Idx].A))
-      Ivals[Ins[Idx].Dst].HintVR = Ins[Idx].A;
+      IntervalOf(Ins[Idx].Dst).HintVR = Ins[Idx].A;
   }
 
   // --- linear scan --------------------------------------------------------
   std::vector<Interval *> Order;
   Order.reserve(Ivals.size());
-  for (auto &[VR, IV] : Ivals)
-    Order.push_back(&IV);
+  for (Interval &IV : Ivals)
+    if (IV.Start >= 0)
+      Order.push_back(&IV);
   std::sort(Order.begin(), Order.end(), [](const Interval *A,
                                            const Interval *B) {
     return A->Start != B->Start ? A->Start < B->Start : A->VR < B->VR;
@@ -167,27 +175,23 @@ unsigned hvm::allocateRegisters(HostCode &Code) {
   };
 
   // An interval strictly spanning a CALL cannot live in a caller-saved
-  // register (the call clobbers h0..h5).
+  // register (the call clobbers h0..h5). One ending at a CALL (an
+  // argument) or starting there (the result) can.
   auto SpansCall = [&](const Interval *IV) {
-    for (int C : CallPositions)
-      if (IV->Start < C && C < IV->End)
-        return true;
-    return false;
+    return CallsBefore[IV->End] > CallsBefore[IV->Start + 1];
   };
 
   for (Interval *IV : Order) {
     Expire(IV->Start);
-    bool NeedCalleeSaved = !CallPositions.empty() && SpansCall(IV);
+    bool NeedCalleeSaved = SpansCall(IV);
     unsigned FirstOk = NeedCalleeSaved ? NumCallerSaved : 0;
     // Try the coalescing hint first. The common case is that the source of
     // the MOV dies exactly at the MOV (End == our Start): its register can
     // be taken over directly, which later deletes the MOV.
     RegId Chosen = NoReg;
     if (IV->HintVR != NoReg) {
-      auto HIt = Ivals.find(IV->HintVR);
-      if (HIt != Ivals.end() && HIt->second.Phys != NoReg &&
-          HIt->second.Phys >= FirstOk) {
-        Interval &H = HIt->second;
+      Interval &H = IntervalOf(IV->HintVR);
+      if (H.Phys != NoReg && H.Phys >= FirstOk) {
         if (FreeReg[H.Phys]) {
           Chosen = H.Phys;
         } else if (H.End <= IV->Start) {
@@ -249,8 +253,7 @@ unsigned hvm::allocateRegisters(HostCode &Code) {
     bool HaveSpillAfter = false;
 
     for (unsigned J = 0; J != U.N; ++J) {
-      RegId VR = *U.Regs[J];
-      Interval &IV = Ivals[VR];
+      Interval &IV = IntervalOf(*U.Regs[J]);
       if (IV.Phys != NoReg) {
         *U.Regs[J] = IV.Phys;
         continue;

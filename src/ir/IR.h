@@ -25,8 +25,8 @@
 
 #include "support/Errors.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -349,6 +349,30 @@ struct Stmt {
 // Superblocks
 //===----------------------------------------------------------------------===//
 
+/// Append-only node arena with stable addresses. Nodes live in chunks of
+/// doubling capacity (32 up to 512 nodes) that never reallocate, so a block
+/// of N nodes costs O(log N) allocations (a std::deque's 512-byte buffers
+/// hold only a few IR nodes each). Capacity is reserved, not constructed:
+/// only allocated nodes are initialised.
+template <typename T> class NodePool {
+public:
+  /// A value-initialised node.
+  T *alloc() {
+    if (Chunks.empty() || Chunks.back().size() == Chunks.back().capacity()) {
+      Chunks.emplace_back();
+      Chunks.back().reserve(NextChunk);
+      NextChunk = std::min<size_t>(NextChunk * 2, 512);
+    }
+    return &Chunks.back().emplace_back();
+  }
+
+private:
+  /// Moving a chunk (when this vector grows) keeps its buffer, so node
+  /// addresses survive.
+  std::vector<std::vector<T>> Chunks;
+  size_t NextChunk = 32;
+};
+
 /// A single-entry, multiple-exit code block plus its type environment.
 /// Owns all Expr/Stmt nodes reachable from it.
 class IRSB {
@@ -407,11 +431,8 @@ public:
   /// Appends an externally built statement (used by instrumenters that
   /// rebuild statement lists).
   void append(Stmt *S) { Statements.push_back(S); }
-  /// Allocates an uninitialised statement in this block's arena.
-  Stmt *allocStmt() {
-    StmtArena.emplace_back();
-    return &StmtArena.back();
-  }
+  /// Allocates a value-initialised statement in this block's arena.
+  Stmt *allocStmt() { return StmtArena.alloc(); }
 
   // --- block structure ---------------------------------------------------
   std::vector<Stmt *> &stmts() { return Statements; }
@@ -433,13 +454,10 @@ public:
   std::string typecheck(bool RequireFlat) const;
 
 private:
-  Expr *alloc() {
-    ExprArena.emplace_back();
-    return &ExprArena.back();
-  }
+  Expr *alloc() { return ExprArena.alloc(); }
 
-  std::deque<Expr> ExprArena; // deque: stable addresses
-  std::deque<Stmt> StmtArena;
+  NodePool<Expr> ExprArena;
+  NodePool<Stmt> StmtArena;
   std::vector<Stmt *> Statements;
   std::vector<Ty> TmpTypes;
   Expr *Next = nullptr;

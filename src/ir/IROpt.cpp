@@ -3,8 +3,6 @@
 #include "ir/IROpt.h"
 
 #include <algorithm>
-#include <map>
-#include <string>
 
 using namespace vg;
 using namespace vg::ir;
@@ -162,7 +160,8 @@ Range rangeOfGet(const Expr *E) {
 /// pure atom copies.
 class PropFold {
 public:
-  PropFold(IRSB &SB, const SpecFn &Spec) : SB(SB), Spec(Spec) {}
+  PropFold(IRSB &SB, const SpecFn &Spec)
+      : SB(SB), Spec(Spec), Env(SB.numTmps(), nullptr) {}
 
   void run() {
     std::vector<Stmt *> NewStmts;
@@ -222,14 +221,11 @@ private:
     }
   }
 
-  /// Resolves an atom through the tmp environment.
+  /// Resolves an atom through the tmp environment. Tmps created during
+  /// the pass lie past the table's end and are never bound.
   Expr *subst(Expr *E) {
-    while (E->Kind == ExprKind::RdTmp) {
-      auto It = Env.find(E->Tmp);
-      if (It == Env.end())
-        break;
-      E = It->second;
-    }
+    while (E->Kind == ExprKind::RdTmp && E->Tmp < Env.size() && Env[E->Tmp])
+      E = Env[E->Tmp];
     return E;
   }
 
@@ -449,7 +445,7 @@ private:
 
   IRSB &SB;
   const SpecFn &Spec;
-  std::map<TmpId, Expr *> Env;
+  std::vector<Expr *> Env; ///< tmp -> the atom it copies (null: none)
   std::vector<Stmt *> *Out = nullptr;
 };
 
@@ -458,7 +454,12 @@ private:
 class RedundantGet {
 public:
   RedundantGet(IRSB &SB, const TraceOptConfig *Trace = nullptr)
-      : SB(SB), Trace(Trace) {}
+      : SB(SB), Trace(Trace) {
+    // A guest state and its shadow copy span a few hundred bytes; reserve
+    // past that so the table rarely regrows (larger offsets still work).
+    Owner.reserve(512);
+    Slots.reserve(SB.stmts().size());
+  }
 
   void run() {
     for (Stmt *S : SB.stmts()) {
@@ -488,7 +489,7 @@ public:
         // Get/Put forwarding (gated on Trace to keep tiers 0/1 untouched).
         if (S->Fx.empty() &&
             !(Trace && S->CalleeFn && S->CalleeFn->StateFxComplete)) {
-          Slots.clear();
+          clearAll();
         } else {
           for (const GuestFx &F : S->Fx)
             if (F.IsWrite)
@@ -502,37 +503,57 @@ public:
   }
 
 private:
+  /// A guest-state range whose current contents are a known atom. Live
+  /// slots never overlap, so each byte has at most one owner.
   struct Slot {
     Range R;
     Expr *Val;
   };
 
-  Expr *findExact(Range R, Ty T) {
-    for (const Slot &S : Slots)
-      if (S.R.Lo == R.Lo && S.R.Hi == R.Hi && S.Val->T == T)
-        return S.Val;
-    return nullptr;
+  Expr *findExact(Range R, Ty T) const {
+    if (R.Lo >= Owner.size() || !Owner[R.Lo])
+      return nullptr;
+    const Slot &S = Slots[Owner[R.Lo] - 1];
+    return S.R.Lo == R.Lo && S.R.Hi == R.Hi && S.Val->T == T ? S.Val
+                                                             : nullptr;
   }
 
+  void release(Range R) {
+    std::fill(Owner.begin() + R.Lo, Owner.begin() + R.Hi, 0);
+  }
+
+  /// Drops every slot overlapping \p R.
   void invalidate(Range R) {
-    for (size_t I = 0; I != Slots.size();) {
-      if (Slots[I].R.overlaps(R)) {
-        Slots[I] = Slots.back();
-        Slots.pop_back();
-      } else {
-        ++I;
-      }
-    }
+    uint32_t Hi =
+        std::min<uint32_t>(R.Hi, static_cast<uint32_t>(Owner.size()));
+    for (uint32_t B = R.Lo; B < Hi; ++B)
+      if (uint32_t Idx = Owner[B])
+        release(Slots[Idx - 1].R);
   }
 
   void record(Range R, Expr *Val) {
     invalidate(R);
+    if (Owner.size() < R.Hi)
+      Owner.resize(R.Hi, 0);
     Slots.push_back(Slot{R, Val});
+    std::fill(Owner.begin() + R.Lo, Owner.begin() + R.Hi,
+              static_cast<uint32_t>(Slots.size()));
+  }
+
+  /// Forgets every slot in time proportional to the slots recorded since
+  /// the last clear, not to the size of the guest state.
+  void clearAll() {
+    for (const Slot &S : Slots)
+      release(S.R);
+    Slots.clear();
   }
 
   IRSB &SB;
   const TraceOptConfig *Trace;
+  /// Slots recorded since the last clearAll (dead ones included).
   std::vector<Slot> Slots;
+  /// Guest-state byte offset -> 1 + index in Slots of its live owner, or 0.
+  std::vector<uint32_t> Owner;
 };
 
 /// Redundant Put elimination (backward): a PUT whose slot is overwritten by
@@ -667,71 +688,138 @@ private:
   std::vector<Range> Pending;
 };
 
+/// The identity of a pure flat-IR right-hand side, or of a shadow probe's
+/// address, as plain data: built on the stack without allocating.
+struct ExprKey {
+  /// Kind value of a ShadowProbe key (past every ExprKind).
+  static constexpr uint8_t ProbeKind = 0xff;
+
+  uint64_t Head = 0;     ///< opcode, callee address, or probe access size
+  uint64_t Atom[4] = {}; ///< constant values or tmp numbers
+  uint8_t Kind = 0;      ///< ExprKind, or ProbeKind
+  uint8_t NAtoms = 0;
+  uint8_t ConstMask = 0; ///< bit I set: Atom[I] is a constant
+  Ty T = Ty::I1;         ///< result type
+
+  /// Appends one flat-IR atom; false if the key is already full.
+  bool add(const Expr *E) {
+    if (NAtoms == 4)
+      return false;
+    if (E->isConst())
+      ConstMask |= 1u << NAtoms;
+    Atom[NAtoms++] = E->isConst() ? E->ConstVal : E->Tmp;
+    return true;
+  }
+
+  bool operator==(const ExprKey &O) const {
+    return Head == O.Head && Kind == O.Kind && NAtoms == O.NAtoms &&
+           ConstMask == O.ConstMask && T == O.T &&
+           std::equal(Atom, Atom + NAtoms, O.Atom);
+  }
+
+  uint64_t hash() const {
+    uint64_t H = Head * 0x9e3779b97f4a7c15ULL ^
+                 (uint64_t(Kind) << 24 | uint64_t(NAtoms) << 16 |
+                  uint64_t(ConstMask) << 8 | uint64_t(T));
+    for (unsigned I = 0; I != NAtoms; ++I)
+      H = (H ^ Atom[I]) * 0x100000001b3ULL;
+    return H ^ H >> 29;
+  }
+};
+
+/// Open-addressing map ExprKey -> TmpId for one pass over one block. Its
+/// capacity is fixed up front from the number of statements, and clear()
+/// is O(1): entries from an older generation read as empty.
+class KeyTable {
+public:
+  explicit KeyTable(size_t MaxEntries) {
+    size_t Cap = 16;
+    while (Cap < 2 * MaxEntries)
+      Cap *= 2;
+    Index.resize(Cap);
+    Entries.reserve(MaxEntries);
+  }
+
+  /// The tmp recorded for \p K, after recording \p V for it if it had
+  /// none (then returns \p V).
+  TmpId findOrInsert(const ExprKey &K, TmpId V) {
+    size_t Mask = Index.size() - 1;
+    for (size_t I = K.hash() & Mask;; I = (I + 1) & Mask) {
+      Bucket &B = Index[I];
+      if (B.Gen != Gen) {
+        B = Bucket{static_cast<uint32_t>(Entries.size()), Gen};
+        Entries.push_back({K, V});
+        return V;
+      }
+      if (Entries[B.Entry].first == K)
+        return Entries[B.Entry].second;
+    }
+  }
+
+  void clear() {
+    ++Gen;
+    Entries.clear();
+  }
+
+private:
+  struct Bucket {
+    uint32_t Entry = 0;
+    uint32_t Gen = 0;
+  };
+  std::vector<Bucket> Index;
+  std::vector<std::pair<ExprKey, TmpId>> Entries;
+  uint32_t Gen = 1;
+};
+
 /// Local common-subexpression elimination over pure flat-IR right-hand
 /// sides (Unop/Binop/ITE/CCall). Loads are not CSEd (stores would have to
 /// invalidate them); Gets are handled by RedundantGet instead.
 class CSE {
 public:
-  explicit CSE(IRSB &SB) : SB(SB) {}
+  explicit CSE(IRSB &SB) : SB(SB), Table(SB.stmts().size()) {}
 
   void run() {
     for (Stmt *S : SB.stmts()) {
       if (S->Kind != StmtKind::WrTmp)
         continue;
-      Expr *D = S->Data;
-      if (D->Kind != ExprKind::Unop && D->Kind != ExprKind::Binop &&
-          D->Kind != ExprKind::ITE && D->Kind != ExprKind::CCall)
+      ExprKey K;
+      if (!keyOf(S->Data, K))
         continue;
-      std::string Key = keyOf(D);
-      auto [It, Inserted] = Table.try_emplace(Key, S->Tmp);
-      if (!Inserted)
-        S->Data = SB.rdTmp(It->second); // PropFold folds the copy away
+      TmpId Prev = Table.findOrInsert(K, S->Tmp);
+      if (Prev != S->Tmp)
+        S->Data = SB.rdTmp(Prev); // PropFold folds the copy away
     }
   }
 
 private:
-  static void atomKey(const Expr *E, std::string &K) {
-    if (E->isConst()) {
-      K += 'c';
-      K += std::to_string(E->ConstVal);
-    } else {
-      K += 't';
-      K += std::to_string(E->Tmp);
-    }
-    K += '.';
-  }
-
-  static std::string keyOf(const Expr *D) {
-    std::string K;
+  /// False for right-hand sides CSE leaves alone.
+  static bool keyOf(const Expr *D, ExprKey &K) {
+    K.Kind = static_cast<uint8_t>(D->Kind);
+    K.T = D->T;
     switch (D->Kind) {
     case ExprKind::Unop:
     case ExprKind::Binop:
-      K += 'o';
-      K += std::to_string(static_cast<unsigned>(D->Opc));
-      K += '.';
+      K.Head = static_cast<uint64_t>(D->Opc);
       for (unsigned I = 0; I != opArity(D->Opc); ++I)
-        atomKey(D->Arg[I], K);
-      break;
+        K.add(D->Arg[I]);
+      return true;
     case ExprKind::ITE:
-      K += 'i';
       for (int I = 0; I != 3; ++I)
-        atomKey(D->Arg[I], K);
-      break;
+        K.add(D->Arg[I]);
+      return true;
     case ExprKind::CCall:
-      K += 'h';
-      K += std::to_string(reinterpret_cast<uintptr_t>(D->CalleeFn));
-      K += '.';
+      K.Head = reinterpret_cast<uintptr_t>(D->CalleeFn);
       for (const Expr *A : D->CallArgs)
-        atomKey(A, K);
-      break;
+        if (!K.add(A))
+          return false;
+      return true;
     default:
-      break;
+      return false;
     }
-    return K;
   }
 
   IRSB &SB;
-  std::map<std::string, TmpId> Table;
+  KeyTable Table;
 };
 
 /// Dead code elimination: removes WrTmps whose temporaries are never used
@@ -834,7 +922,8 @@ private:
 /// slow-path helper still runs per access and error counts are unchanged.
 class ShadowProbeCSE {
 public:
-  ShadowProbeCSE(IRSB &SB, TraceOptStats *Stats) : SB(SB), Stats(Stats) {}
+  ShadowProbeCSE(IRSB &SB, TraceOptStats *Stats)
+      : SB(SB), Stats(Stats), Table(SB.stmts().size()) {}
 
   void run() {
     for (Stmt *S : SB.stmts()) {
@@ -844,11 +933,14 @@ public:
           Table.clear();
           break;
         }
-        std::string Key = keyOfAddr(S->Addr, S->AccSize);
-        auto [It, Inserted] = Table.try_emplace(Key, S->Tmp);
-        if (!Inserted) {
+        ExprKey K;
+        K.Kind = ExprKey::ProbeKind;
+        K.Head = S->AccSize;
+        K.add(S->Addr);
+        TmpId Prev = Table.findOrInsert(K, S->Tmp);
+        if (Prev != S->Tmp) {
           S->Kind = StmtKind::WrTmp;
-          S->Data = SB.rdTmp(It->second);
+          S->Data = SB.rdTmp(Prev);
           S->Addr = nullptr;
           if (Stats)
             ++Stats->ProbesCSEd;
@@ -866,23 +958,9 @@ public:
   }
 
 private:
-  static std::string keyOfAddr(const Expr *Addr, uint8_t Size) {
-    std::string K;
-    if (Addr->isConst()) {
-      K += 'c';
-      K += std::to_string(Addr->ConstVal);
-    } else {
-      K += 't';
-      K += std::to_string(Addr->Tmp);
-    }
-    K += '.';
-    K += std::to_string(Size);
-    return K;
-  }
-
   IRSB &SB;
   TraceOptStats *Stats;
-  std::map<std::string, TmpId> Table;
+  KeyTable Table;
 };
 
 void optRound(IRSB &SB, const SpecFn &Spec, const PreservedPuts &Preserve,
@@ -938,6 +1016,7 @@ public:
 
   void run() {
     countUses();
+    HeldAt.assign(UseCount.size(), -1);
     std::vector<Stmt *> NewStmts;
     NewStmts.reserve(SB.stmts().size());
     Emit = &NewStmts;
@@ -1111,6 +1190,7 @@ private:
     Pending P;
     P.Def = Def;
     scanExpr(Def->Data, P);
+    HeldAt[Def->Tmp] = static_cast<int32_t>(Held.size());
     Held.push_back(std::move(P));
   }
 
@@ -1119,13 +1199,12 @@ private:
     if (!E)
       return E;
     if (E->Kind == ExprKind::RdTmp) {
-      for (Pending &P : Held) {
-        if (!P.Consumed && P.Def->Tmp == E->Tmp) {
-          P.Consumed = true;
-          return P.Def->Data; // already tree-substituted when held
-        }
-      }
-      return E;
+      int32_t Idx = HeldAt[E->Tmp];
+      if (Idx < 0)
+        return E;
+      HeldAt[E->Tmp] = -1;
+      Held[Idx].Consumed = true;
+      return Held[Idx].Def->Data; // already tree-substituted when held
     }
     switch (E->Kind) {
     case ExprKind::Unop:
@@ -1157,10 +1236,12 @@ private:
   /// barrier statement.
   void flushConflicting(bool OnStore, bool OnPut, Range PutRange, bool All,
                         bool OnExit) {
-    std::vector<Pending> Still;
-    for (Pending &P : Held) {
+    size_t Keep = 0; // survivors are compacted in place, order kept
+    for (size_t I = 0; I != Held.size(); ++I) {
+      Pending &P = Held[I];
       if (P.Consumed)
         continue;
+      int32_t &At = HeldAt[P.Def->Tmp];
       bool Conflicts = All;
       if (OnStore && P.HasLoad)
         Conflicts = true;
@@ -1170,17 +1251,24 @@ private:
         for (Range R : P.GetRanges)
           if (R.overlaps(PutRange))
             Conflicts = true;
-      if (Conflicts)
+      if (Conflicts) {
         Emit->push_back(P.Def);
-      else
-        Still.push_back(std::move(P));
+        At = -1;
+      } else {
+        At = static_cast<int32_t>(Keep);
+        if (Keep != I)
+          Held[Keep] = std::move(P);
+        ++Keep;
+      }
     }
-    Held = std::move(Still);
+    Held.erase(Held.begin() + Keep, Held.end());
   }
 
   IRSB &SB;
   std::vector<uint32_t> UseCount;
   std::vector<Pending> Held;
+  /// Tmp -> index in Held of its unconsumed def, or -1.
+  std::vector<int32_t> HeldAt;
   std::vector<Stmt *> *Emit = nullptr;
 };
 

@@ -9,7 +9,6 @@ using namespace vg;
 ShadowMap::Secondary ShadowMap::DsmNoAccess;
 ShadowMap::Secondary ShadowMap::DsmDefined;
 bool ShadowMap::DsmInit = false;
-thread_local ShadowMap::TLCache ShadowMap::TLC;
 
 namespace {
 std::atomic<uint64_t> NextMapId{1};

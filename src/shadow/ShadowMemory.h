@@ -366,6 +366,12 @@ private:
   static bool DsmInit;
 };
 
+/// Defined inline in the header so every translation unit sees a
+/// constant-initialised variable and reads it directly. With an
+/// out-of-line definition, other files reach it through a TLS init
+/// wrapper whose result UBSan reports as a null pointer.
+inline thread_local ShadowMap::TLCache ShadowMap::TLC;
+
 /// The flat, fixed-window shadow layout (ablation comparator).
 class DirectShadow {
 public:

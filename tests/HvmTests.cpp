@@ -118,18 +118,19 @@ TEST(RegAlloc, SpillsUnderPressureAndStaysCorrect) {
   EXPECT_EQ(Sum, 300u); // 1+..+24
 }
 
+const Callee NopCallee = {"nop_helper",
+                          [](void *, uint64_t, uint64_t, uint64_t,
+                             uint64_t) -> uint64_t { return 0; },
+                          0};
+
 TEST(RegAlloc, ValuesSurviveHelperCalls) {
   // A value live across a dirty call must land in a callee-saved register
   // or be spilled; the executor poisons caller-saved registers at calls.
-  static const Callee Nop = {"nop_helper",
-                             [](void *, uint64_t, uint64_t, uint64_t,
-                                uint64_t) -> uint64_t { return 0; },
-                             0};
   IRSB SB;
   TmpId T0 = SB.wrTmp(SB.get(0, Ty::I32));
   TmpId T1 = SB.wrTmp(SB.get(4, Ty::I32));
-  SB.dirty(&Nop, {});
-  SB.dirty(&Nop, {});
+  SB.dirty(&NopCallee, {});
+  SB.dirty(&NopCallee, {});
   TmpId T2 = SB.wrTmp(SB.binop(Op::Add32, SB.rdTmp(T0), SB.rdTmp(T1)));
   SB.put(8, SB.rdTmp(T2));
   SB.setNext(SB.constI32(0), JumpKind::Boring);
@@ -143,6 +144,75 @@ TEST(RegAlloc, ValuesSurviveHelperCalls) {
   uint32_t Out;
   std::memcpy(&Out, Gst + 8, 4);
   EXPECT_EQ(Out, 3333u);
+
+  // Forty calls: twelve values loaded one every third call, all live to
+  // the end, plus a running sum that reads them between calls. Far more
+  // long intervals span calls than h6..h9 can hold.
+  for (uint32_t K = 0; K != 12; ++K) {
+    uint32_t V = 1000 + 37 * K;
+    std::memcpy(Gst + 4 * K, &V, 4);
+  }
+  IRSB Big;
+  std::vector<TmpId> Vals;
+  std::vector<uint32_t> Ref;
+  TmpId Acc = Big.wrTmp(Big.get(48, Ty::I32)); // zero
+  uint32_t RefAcc = 0;
+  for (uint32_t I = 0; I != 40; ++I) {
+    if (I % 3 == 0 && Vals.size() != 12) {
+      uint32_t K = static_cast<uint32_t>(Vals.size());
+      Vals.push_back(Big.wrTmp(Big.get(4 * K, Ty::I32)));
+      Ref.push_back(1000 + 37 * K);
+    }
+    Big.dirty(&NopCallee, {});
+    size_t Pick = I % Vals.size();
+    Acc = Big.wrTmp(
+        Big.binop(Op::Add32, Big.rdTmp(Acc), Big.rdTmp(Vals[Pick])));
+    RefAcc += Ref[Pick];
+  }
+  for (size_t K = 0; K != Vals.size(); ++K) {
+    Acc = Big.wrTmp(Big.binop(Op::Add32, Big.rdTmp(Acc), Big.rdTmp(Vals[K])));
+    RefAcc += Ref[K];
+  }
+  Big.put(100, Big.rdTmp(Acc));
+  Big.setNext(Big.constI32(0), JumpKind::Boring);
+  ASSERT_EQ(Vals.size(), 12u);
+  runSB(Big, Gst, Mem);
+  std::memcpy(&Out, Gst + 100, 4);
+  EXPECT_EQ(Out, RefAcc);
+}
+
+TEST(RegAlloc, OnlyIntervalsStrictlySpanningACallNeedCalleeSaved) {
+  // 0: LI v0       v0 is the CALL's argument: it ends at the call.
+  // 1: LI v2       v2 is read after the call: it strictly spans it.
+  // 2: CALL v1 = f(v0)   v1 is the result: it starts at the call.
+  // 3: STG v1
+  // 4: STG v2
+  HostCode HC;
+  auto Emit = [&HC](HOp Op) -> HInstr & {
+    HC.Instrs.emplace_back();
+    HC.Instrs.back().Op = Op;
+    return HC.Instrs.back();
+  };
+  const RegId V0 = VirtBase, V1 = VirtBase + 1, V2 = VirtBase + 2;
+  Emit(HOp::LI).Dst = V0;
+  Emit(HOp::LI).Dst = V2;
+  HInstr &Call = Emit(HOp::CALL);
+  Call.CalleeFn = &NopCallee;
+  Call.Args[0] = V0;
+  Call.NArgs = 1;
+  Call.Dst = V1;
+  Emit(HOp::STG).A = V1;
+  HInstr &St = Emit(HOp::STG);
+  St.A = V2;
+  St.Off = 4;
+  allocateRegisters(HC);
+  ASSERT_EQ(HC.Instrs.size(), 5u);
+  EXPECT_EQ(HC.NumSpillSlots, 0u);
+  EXPECT_LT(HC.Instrs[2].Args[0], NumCallerSaved); // argument: h0..h5 ok
+  EXPECT_LT(HC.Instrs[2].Dst, NumCallerSaved);     // result: h0..h5 ok
+  EXPECT_GE(HC.Instrs[1].Dst, NumCallerSaved);     // spans: h6..h9
+  EXPECT_LT(HC.Instrs[1].Dst, NumAllocatable);
+  EXPECT_EQ(HC.Instrs[4].A, HC.Instrs[1].Dst);
 }
 
 TEST(Exec, GuardedExitTakenAndNotTaken) {

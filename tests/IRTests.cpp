@@ -272,6 +272,122 @@ TEST(IROpt, StaticallyFalseExitRemoved) {
   EXPECT_EQ(countKind(SB, StmtKind::Exit), 0);
 }
 
+// Counts WrTmp statements reading guest state at \p Offset.
+int countGetsAt(const IRSB &SB, uint32_t Offset) {
+  int N = 0;
+  for (const Stmt *S : SB.stmts())
+    if (S->Kind == StmtKind::WrTmp && S->Data->Kind == ExprKind::Get &&
+        S->Data->Offset == Offset)
+      ++N;
+  return N;
+}
+
+TEST(IROpt, NarrowGetsInsideWiderPutAreNotForwarded) {
+  // An 8-byte Put owns bytes 16..23; 4-byte Gets at 16 and at 20 match
+  // neither its start and size (at +0) nor its start (at +4).
+  IRSB SB;
+  TmpId V = SB.wrTmp(SB.get(40, Ty::I64));
+  SB.put(16, SB.rdTmp(V));
+  TmpId Lo = SB.wrTmp(SB.get(16, Ty::I32));
+  TmpId Hi = SB.wrTmp(SB.get(20, Ty::I32));
+  SB.store(SB.constI32(0x8000), SB.rdTmp(Lo));
+  SB.store(SB.constI32(0x8004), SB.rdTmp(Hi));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  optimise1(SB, nullptr);
+  EXPECT_EQ(countGetsAt(SB, 16), 1);
+  EXPECT_EQ(countGetsAt(SB, 20), 1);
+  EXPECT_EQ(SB.typecheck(true), "");
+}
+
+/// Two Gets of offsets 0 and 8, a Dirty call with effects \p Fx, then the
+/// same two Gets again, all four values stored.
+void getsAroundDirty(IRSB &SB, std::vector<GuestFx> Fx) {
+  static const Callee Helper = {"fx_helper", nullptr, 0};
+  TmpId A0 = SB.wrTmp(SB.get(0, Ty::I32));
+  TmpId B0 = SB.wrTmp(SB.get(8, Ty::I32));
+  SB.dirty(&Helper, {}, NoTmp, nullptr, std::move(Fx));
+  TmpId A1 = SB.wrTmp(SB.get(0, Ty::I32));
+  TmpId B1 = SB.wrTmp(SB.get(8, Ty::I32));
+  uint32_t Addr = 0x8000;
+  for (TmpId T : {A0, B0, A1, B1}) {
+    SB.store(SB.constI32(Addr), SB.rdTmp(T));
+    Addr += 4;
+  }
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+}
+
+TEST(IROpt, DirtyFxWriteInvalidatesOnlyTheOverlappedSlot) {
+  {
+    IRSB SB;
+    getsAroundDirty(SB, {{2, 1, /*IsWrite=*/true}}); // one byte inside [0,4)
+    optimise1(SB, nullptr);
+    EXPECT_EQ(countGetsAt(SB, 0), 2); // re-read after the call
+    EXPECT_EQ(countGetsAt(SB, 8), 1); // still forwarded
+  }
+  {
+    IRSB SB;
+    getsAroundDirty(SB, {{6, 4, /*IsWrite=*/true}}); // [6,10): from the gap
+    optimise1(SB, nullptr);                         // into [8,12)
+    EXPECT_EQ(countGetsAt(SB, 0), 1);
+    EXPECT_EQ(countGetsAt(SB, 8), 2);
+  }
+}
+
+TEST(IROpt, UnannotatedDirtyClearsEverySlot) {
+  IRSB SB;
+  getsAroundDirty(SB, {});
+  optimise1(SB, nullptr);
+  EXPECT_EQ(countGetsAt(SB, 0), 2);
+  EXPECT_EQ(countGetsAt(SB, 8), 2);
+}
+
+int countRhs(const IRSB &SB, ExprKind K) {
+  int N = 0;
+  for (const Stmt *S : SB.stmts())
+    if (S->Kind == StmtKind::WrTmp && S->Data->Kind == K)
+      ++N;
+  return N;
+}
+
+TEST(IROpt, CSEDistinguishesConstantFromTmpOfSameNumber) {
+  IRSB SB;
+  std::vector<TmpId> T;
+  for (uint32_t I = 0; I != 6; ++I)
+    T.push_back(SB.wrTmp(SB.get(4 * I, Ty::I32)));
+  ASSERT_EQ(T[5], 5u);
+  TmpId A = SB.wrTmp(SB.binop(Op::Add32, SB.rdTmp(T[1]), SB.constI32(5)));
+  TmpId B = SB.wrTmp(SB.binop(Op::Add32, SB.rdTmp(T[1]), SB.rdTmp(T[5])));
+  SB.put(64, SB.rdTmp(A));
+  SB.put(68, SB.rdTmp(B));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  optimise1(SB, nullptr);
+  EXPECT_EQ(countRhs(SB, ExprKind::Binop), 2);
+}
+
+TEST(IROpt, CSEDistinguishesHelperArityAndArgumentKind) {
+  static const Callee Pure = {"pure_helper", nullptr, 0};
+  IRSB SB;
+  std::vector<TmpId> T;
+  for (uint32_t I = 0; I != 6; ++I)
+    T.push_back(SB.wrTmp(SB.get(4 * I, Ty::I32)));
+  ASSERT_EQ(T[0], 0u);
+  ASSERT_EQ(T[5], 5u);
+  std::vector<std::vector<Expr *>> ArgLists = {
+      {SB.rdTmp(T[1])},                // one argument ...
+      {SB.rdTmp(T[1]), SB.rdTmp(T[0])}, // ... or two (the second is tmp 0)
+      {SB.constI32(5)},                // a constant 5 ...
+      {SB.rdTmp(T[5])}};               // ... or tmp 5
+  uint32_t Off = 64;
+  for (auto &Args : ArgLists) {
+    TmpId R = SB.wrTmp(SB.ccall(&Pure, Ty::I32, Args));
+    SB.put(Off, SB.rdTmp(R));
+    Off += 4;
+  }
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  optimise1(SB, nullptr);
+  EXPECT_EQ(countRhs(SB, ExprKind::CCall), 4);
+}
+
 //===----------------------------------------------------------------------===//
 // The cc-thunk spec hook
 //===----------------------------------------------------------------------===//
@@ -391,6 +507,33 @@ TEST(IROpt, TreeBuildRespectsPutGetConflicts) {
   buildTrees(SB);
   EXPECT_EQ(SB.stmts()[0]->Kind, StmtKind::WrTmp);
   EXPECT_EQ(SB.stmts()[0]->Data->Kind, ExprKind::Get);
+}
+
+TEST(IROpt, TreeBuildFlushedDefIsNotSubstitutedAgain) {
+  // T0 and T1 are held; the Put to offset 0 flushes T0's def (its Get
+  // would otherwise read the new value) and keeps T1's. The later read of
+  // T0 must name the emitted tmp; T1 still folds into its use.
+  IRSB SB;
+  TmpId T0 = SB.wrTmp(SB.get(0, Ty::I32));
+  TmpId T1 = SB.wrTmp(SB.get(8, Ty::I32));
+  SB.put(0, SB.constI32(123));
+  SB.store(SB.constI32(0x8000), SB.rdTmp(T0));
+  SB.store(SB.constI32(0x8004), SB.rdTmp(T1));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  buildTrees(SB);
+  ASSERT_EQ(SB.stmts().size(), 4u);
+  EXPECT_EQ(SB.stmts()[0]->Kind, StmtKind::WrTmp);
+  EXPECT_EQ(SB.stmts()[0]->Tmp, T0);
+  EXPECT_EQ(SB.stmts()[1]->Kind, StmtKind::Put);
+  const Stmt *St0 = SB.stmts()[2];
+  ASSERT_EQ(St0->Kind, StmtKind::Store);
+  ASSERT_TRUE(St0->Data->isRdTmp());
+  EXPECT_EQ(St0->Data->Tmp, T0);
+  const Stmt *St1 = SB.stmts()[3];
+  ASSERT_EQ(St1->Kind, StmtKind::Store);
+  ASSERT_EQ(St1->Data->Kind, ExprKind::Get);
+  EXPECT_EQ(St1->Data->Offset, 8u);
+  EXPECT_EQ(SB.typecheck(false), "");
 }
 
 //===----------------------------------------------------------------------===//

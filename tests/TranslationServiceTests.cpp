@@ -10,12 +10,17 @@
 
 #include "core/Launcher.h"
 #include "core/TranslationService.h"
+#include "fuzz/ProgramGen.h"
 #include "guestlib/GuestLib.h"
+#include "tools/ICnt.h"
+#include "tools/Memcheck.h"
 #include "tools/Nulgrind.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 
@@ -95,6 +100,107 @@ TEST(TranslationService, SyncTranslateInsertsAndAccounts) {
   EXPECT_EQ(T2->Tier, 1u);
   EXPECT_EQ(F.Host.Notes, 2u);
   EXPECT_EQ(F.Host.Installs, 0u); // the trace hook is for traces only
+}
+
+//===----------------------------------------------------------------------===//
+// Guest-byte access at page boundaries
+//===----------------------------------------------------------------------===//
+
+/// Reference fetch: one byte at a time, stopping at the first byte that
+/// is not executable.
+FetchFn bytewiseFetch(const GuestMemory &Mem) {
+  return [&Mem](uint32_t Addr, uint8_t *Buf, uint32_t MaxLen) -> uint32_t {
+    uint32_t N = 0;
+    while (N < MaxLen && !Mem.fetch(Addr + N, Buf + N, 1).Faulted)
+      ++N;
+    return N;
+  };
+}
+
+// Straight-line code running off the end of an executable page into an
+// unmapped page, or into a mapped page without execute permission: the
+// block ends at the first instruction not wholly on the executable page,
+// with a NoDecode exit, exactly as a byte-at-a-time fetch decides.
+TEST(TranslationService, BlockAtPageEndStopsWhereBytewiseFetchDoes) {
+  constexpr uint32_t Page = GuestMemory::PageSize;
+  constexpr uint32_t ExecPage = 0x20000, PageEnd = ExecPage + Page;
+  for (uint32_t Lead : {40u, 41u, 43u}) {
+    for (bool NextMapped : {false, true}) {
+      Assembler Code(PageEnd - Lead);
+      uint32_t Stop = 0;
+      for (uint32_t I = 0; I != 24; ++I) {
+        uint32_t At = Code.here();
+        if (I % 2)
+          Code.movi(Reg::R1, 0x12345678 + I);
+        else
+          Code.addi(Reg::R2, Reg::R2, I);
+        if (!Stop && Code.here() > PageEnd)
+          Stop = At;
+      }
+      ASSERT_NE(Stop, 0u);
+      std::vector<uint8_t> Bytes = Code.finalize();
+
+      GuestMemory Mem;
+      Mem.map(ExecPage, Page, PermRX);
+      if (NextMapped)
+        Mem.map(PageEnd, Page, PermRW);
+      uint32_t Len = NextMapped ? static_cast<uint32_t>(Bytes.size()) : Lead;
+      Mem.write(PageEnd - Lead, Bytes.data(), Len, /*IgnorePerms=*/true);
+
+      StubHost Host;
+      TranslationService XS(Host, Mem, 1u << 4);
+      Translation *T = XS.translateSync(PageEnd - Lead, /*Hot=*/false);
+      ASSERT_NE(T, nullptr);
+      ASSERT_EQ(T->Extents.size(), 1u);
+      EXPECT_EQ(T->Extents[0].second, Stop) << Lead << " " << NextMapped;
+
+      DisasmResult Ref = disassembleSB(PageEnd - Lead, bytewiseFetch(Mem));
+      EXPECT_TRUE(Ref.DecodeFailed);
+      EXPECT_EQ(Ref.SB->endJumpKind(), ir::JumpKind::NoDecode);
+      EXPECT_EQ(Ref.Extents, T->Extents);
+      EXPECT_EQ(Ref.NumInsns, T->NumInsns);
+      TranslatedBlock RefTB = translateBlock(
+          PageEnd - Lead, bytewiseFetch(Mem), TranslationOptions());
+      EXPECT_EQ(RefTB.Blob.Bytes, T->Blob.Bytes);
+    }
+  }
+}
+
+// hashLive reads whole page runs; over extents that cross an unmapped
+// page, a mapped page without permissions and page edges it must equal
+// the byte-at-a-time hash in which unmapped bytes count as 0.
+TEST(TranslationService, HashLiveMatchesBytewiseAcrossUnmappedPage) {
+  constexpr uint32_t Page = GuestMemory::PageSize;
+  constexpr uint32_t P0 = 0x40000, P1 = P0 + Page, P2 = P1 + Page,
+                     P3 = P2 + Page;
+  GuestMemory Mem;
+  Mem.map(P0, Page, PermRX);
+  Mem.map(P2, Page, PermNone);
+  Mem.map(P3, Page, PermRW); // P1 stays unmapped
+  for (uint32_t PageBase : {P0, P2, P3})
+    for (uint32_t A = PageBase; A != PageBase + Page; ++A) {
+      uint8_t B = static_cast<uint8_t>((A * 131) >> 3) | 1;
+      Mem.write(A, &B, 1, /*IgnorePerms=*/true);
+    }
+  std::vector<std::pair<uint32_t, uint32_t>> Extents = {
+      {P0 + 4000, P2 + 100}, // RX tail, all of unmapped P1, into P2
+      {P2 + 4090, P3 + 50},  // across a page edge
+      {P1 + 10, P1 + 20},    // wholly unmapped
+      {P0 + 5, P0 + 5},      // empty
+      {P0, P0 + Page}};      // exactly one page
+
+  uint64_t Ref = 0xcbf29ce484222325ULL;
+  for (auto [Lo, Hi] : Extents)
+    for (uint32_t A = Lo; A != Hi; ++A) {
+      uint8_t B = 0;
+      Mem.read(A, &B, 1, /*IgnorePerms=*/true);
+      Ref ^= B;
+      Ref *= 0x100000001b3ULL;
+    }
+
+  StubHost Host;
+  TranslationService XS(Host, Mem, 1u << 4);
+  EXPECT_EQ(XS.hashLive(Extents), Ref);
 }
 
 //===----------------------------------------------------------------------===//
@@ -245,6 +351,156 @@ TEST(TranslationService, TraceSideExitsNeverExceedTraceExecs) {
           << Name << " " << Sched;
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned pipeline output
+//===----------------------------------------------------------------------===//
+
+constexpr uint64_t FnvBasis = 0xcbf29ce484222325ULL;
+
+void fnv(uint64_t &H, const void *P, size_t N) {
+  const uint8_t *B = static_cast<const uint8_t *>(P);
+  for (size_t I = 0; I != N; ++I) {
+    H ^= B[I];
+    H *= 0x100000001b3ULL;
+  }
+}
+
+/// FNV-1a over one translation's address, tier, blob bytes, spill-slot
+/// count and chain-slot count. CALL instructions embed a host pointer to
+/// their Callee; the digest hashes the callee's name in its place so the
+/// value does not depend on where the process was loaded.
+uint64_t translationDigest(const Translation &T) {
+  std::vector<uint8_t> Bytes = T.Blob.Bytes;
+  std::vector<uint32_t> Slots;
+  EXPECT_TRUE(hvm::findCalleeSlots(Bytes, Slots));
+  uint64_t H = FnvBasis;
+  for (uint32_t Off : Slots) {
+    const ir::Callee *C;
+    std::memcpy(&C, Bytes.data() + Off, sizeof(C));
+    uint64_t NameHash = FnvBasis;
+    fnv(NameHash, C->Name, std::strlen(C->Name));
+    std::memcpy(Bytes.data() + Off, &NameHash, sizeof(NameHash));
+  }
+  fnv(H, &T.Addr, sizeof(T.Addr));
+  fnv(H, &T.Tier, sizeof(T.Tier));
+  fnv(H, Bytes.data(), Bytes.size());
+  fnv(H, &T.Blob.NumSpillSlots, sizeof(T.Blob.NumSpillSlots));
+  fnv(H, &T.Blob.NumChainSlots, sizeof(T.Blob.NumChainSlots));
+  return H;
+}
+
+/// Per-translation digests keyed by insertion order: translations the
+/// table retires mid-run (hot promotions, trace installs, SMC) arrive
+/// through the retire hook, the survivors are collected at fini.
+struct DigestLog {
+  std::vector<std::pair<uint64_t, uint64_t>> SeqDigest;
+  void add(const Translation &T) {
+    SeqDigest.push_back({T.Seq, translationDigest(T)});
+  }
+  uint64_t fold() {
+    std::sort(SeqDigest.begin(), SeqDigest.end());
+    uint64_t H = FnvBasis;
+    for (auto [Seq, D] : SeqDigest)
+      fnv(H, &D, sizeof(D));
+    return H;
+  }
+};
+
+/// The tool under test, extended to log every resident translation just
+/// before the core tears down.
+template <class T> class Digesting final : public T {
+public:
+  template <class... Args>
+  explicit Digesting(DigestLog &Log, Args &&...A)
+      : T(std::forward<Args>(A)...), Log(Log) {}
+  void init(Core &C) override {
+    TheCore = &C;
+    T::init(C);
+  }
+  void fini(int ExitCode) override {
+    TheCore->transTab().forEach([this](const Translation &Tr) { Log.add(Tr); });
+    T::fini(ExitCode);
+  }
+
+private:
+  DigestLog &Log;
+  Core *TheCore = nullptr;
+};
+
+enum class DigestTool { Nulgrind, ICntInline, ICntCCall, Memcheck };
+
+/// Runs \p Img under \p Kind and folds every translation the run made.
+uint64_t runDigest(const GuestImage &Img, const std::string &Stdin,
+                   DigestTool Kind, const std::vector<std::string> &Opts,
+                   size_t &NumTranslations) {
+  DigestLog Log;
+  std::unique_ptr<Tool> T;
+  switch (Kind) {
+  case DigestTool::Nulgrind:
+    T = std::make_unique<Digesting<Nulgrind>>(Log);
+    break;
+  case DigestTool::ICntInline:
+    T = std::make_unique<Digesting<ICnt>>(Log, ICnt::Mode::Inline);
+    break;
+  case DigestTool::ICntCCall:
+    T = std::make_unique<Digesting<ICnt>>(Log, ICnt::Mode::CCall);
+    break;
+  case DigestTool::Memcheck:
+    T = std::make_unique<Digesting<Memcheck>>(Log);
+    break;
+  }
+  RunReport R = runUnderCoreWith(
+      Img, T.get(), Opts, Stdin, ~0ull, [&Log](Core &C) {
+        C.transTab().setRetireHook(
+            [&Log](std::unique_ptr<Translation> Tr) { Log.add(*Tr); });
+      });
+  EXPECT_TRUE(R.Completed);
+  NumTranslations += Log.SeqDigest.size();
+  return Log.fold();
+}
+
+// Every block crafty, mcf and gcc execute at scale 1, plus six seeded
+// fuzz programs, translated under five tool configurations: the digest of
+// the generated code must not move. A change to the pipeline's data
+// structures keeps this value; a change to what it emits must update it
+// deliberately (and say why).
+TEST(TranslationService, PipelineOutputDigestIsPinned) {
+  struct Prog {
+    GuestImage Img;
+    std::string Stdin;
+  };
+  std::vector<Prog> Progs;
+  for (const char *Name : {"crafty", "mcf", "gcc"})
+    Progs.push_back({buildWorkload(Name, 1), ""});
+  for (uint64_t Seed = 1; Seed != 7; ++Seed) {
+    fuzz::GenOptions GO;
+    GO.MinBodyAtoms = GO.MaxBodyAtoms = 100 + 80 * static_cast<unsigned>(Seed);
+    fuzz::FuzzProgram P = fuzz::generate(Seed * 7919, GO);
+    Progs.push_back({fuzz::render(P), P.StdinData});
+  }
+  struct Cfg {
+    DigestTool Kind;
+    std::vector<std::string> Opts;
+  };
+  const std::vector<Cfg> Cfgs = {
+      {DigestTool::Nulgrind, {}},
+      {DigestTool::ICntInline, {}},
+      {DigestTool::ICntCCall, {}},
+      {DigestTool::Memcheck, {}},
+      {DigestTool::Memcheck,
+       {"--chaining=yes", "--hot-threshold=50", "--trace-tier=yes"}}};
+
+  uint64_t H = FnvBasis;
+  size_t N = 0;
+  for (const Cfg &C : Cfgs)
+    for (const Prog &P : Progs) {
+      uint64_t D = runDigest(P.Img, P.Stdin, C.Kind, C.Opts, N);
+      fnv(H, &D, sizeof(D));
+    }
+  EXPECT_GT(N, 1000u);
+  EXPECT_EQ(H, 0x3b2e3a76bf1566fbULL) << "translations digested: " << N;
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,9 +2,11 @@
 ///
 /// \file
 /// The Table 2 harness only means something if every synthetic workload
-/// (a) terminates, (b) produces the same checksum natively and under the
-/// core, and (c) is Memcheck-clean. These parameterised suites enforce all
-/// three for all fourteen workloads.
+/// (a) terminates and (b) produces the same checksum natively and under
+/// the core; these parameterised suites enforce both for all fourteen
+/// workloads. Memcheck cleanliness (c) is checked on a subset only, and
+/// not every workload is clean: at scale 1, bzip2 reports 53 errors and
+/// gcc 3120; the other twelve report none.
 ///
 //===----------------------------------------------------------------------===//
 
