@@ -138,7 +138,7 @@ void Core::applyOptions() {
             : static_cast<size_t>(
                   Opts.getIntChecked("trace-events", 1, INT64_MAX));
     Tracer = std::make_unique<EventTracer>(Cap);
-    Tracer->setClock(&Stats.BlocksDispatched);
+    Tracer->setClock(&Dispatch->blockClock());
   }
   TraceDumpAtExit = Opts.getBool("trace-dump");
   SchedThreads = static_cast<unsigned>(
@@ -492,10 +492,6 @@ void Core::noteTranslation(uint32_t PC, const Translation &T,
   Stats.TranslateSeconds += Seconds;
   if (Prof)
     Prof->noteTranslation(PC, T.NumInsns, T.Tier, Seconds);
-}
-
-void Core::traceInstalled(Translation *T, uint64_t GenBefore) {
-  Dispatch->traceInstalled(T, GenBefore);
 }
 
 //===----------------------------------------------------------------------===//

@@ -64,9 +64,10 @@ struct CoreExit {
 };
 
 /// Run statistics (bench/sec39_dispatch and the Table 2 harness read
-/// these).
+/// these). The dispatch counters live in the dispatch contexts while a run
+/// is under way and are folded in here when it ends.
 struct CoreStats {
-  uint64_t BlocksDispatched = 0; ///< translations entered
+  uint64_t BlocksDispatched = 0; ///< translations entered, callGuest's too
   uint64_t FastCacheHits = 0;    ///< dispatcher direct-mapped cache hits
   uint64_t FastCacheMisses = 0;
   uint64_t Translations = 0;
@@ -78,9 +79,10 @@ struct CoreStats {
   uint64_t ChainedTransfers = 0;
   uint64_t HostRedirectCalls = 0;
   uint64_t HotPromotions = 0; ///< blocks retranslated as hot superblocks
-  /// Trace tier (--trace-tier): traces installed, trace entries executed,
-  /// and exits taken through a guarded side exit rather than the trace's
-  /// terminal edge (TraceSideExits / TraceExecs is the side-exit rate).
+  /// Trace tier (--trace-tier): traces installed (JitStats::TraceInstalled),
+  /// trace entries executed, and exits taken through a guarded side exit
+  /// rather than the trace's terminal edge (TraceSideExits / TraceExecs is
+  /// the side-exit rate).
   uint64_t TracesFormed = 0;
   uint64_t TraceExecs = 0;
   uint64_t TraceSideExits = 0;
@@ -246,7 +248,6 @@ public:
                         Translation *Raw) override;
   void noteTranslation(uint32_t PC, const Translation &T,
                        double Seconds) override;
-  void traceInstalled(Translation *T, uint64_t GenBefore) override;
 
   // Helper callees referenced from generated code (public because the
   // Callee descriptors binding them are defined at namespace scope).

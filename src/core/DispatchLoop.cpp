@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 using namespace vg;
 using namespace vg::vg1;
@@ -18,50 +19,44 @@ using namespace vg::vg1;
 // Translation lookup, promotion, and trace formation
 //===----------------------------------------------------------------------===//
 
-Translation *DispatchLoop::findOrTranslate(uint32_t PC) {
-  if (FastCacheGen != C.TT.generation()) {
-    std::fill(FastCache.begin(), FastCache.end(), FastCacheEntry{});
-    FastCacheGen = C.TT.generation();
-  }
-  FastCacheEntry &E = FastCache[hashAddr(PC) & (FastCacheSize - 1)];
+Translation *DispatchLoop::findOrTranslate(ShardCtx &S, uint32_t PC) {
+  // A block boundary under the lock is the natural place to try freeing
+  // limbo: every shard passes through here constantly.
+  if (!Limbo.empty())
+    reclaimLimbo();
+  // PC's line, after wiping the cache if any translation died since it
+  // was last current.
+  auto Line = [&]() -> FastCacheEntry & {
+    if (S.FastCacheGen != C.TT.generation()) {
+      std::fill(S.FastCache.begin(), S.FastCache.end(), FastCacheEntry{});
+      S.FastCacheGen = C.TT.generation();
+    }
+    return S.FastCache[hashAddr(PC) & (FastCacheSize - 1)];
+  };
+  FastCacheEntry &E = Line();
   if (E.Addr == PC && E.T) {
-    ++C.Stats.FastCacheHits;
+    ++S.FastCacheHits;
     // The table was bypassed, but the lookup still logically happened:
     // fold it into the table's statistics so hit rates stay honest.
     C.TT.countFastHit();
     return E.T;
   }
-  ++C.Stats.FastCacheMisses;
+  ++S.FastCacheMisses;
   Translation *T = C.TT.lookup(PC);
   if (!T)
     T = C.XS->translateSync(PC, /*Hot=*/false);
-  if (FastCacheGen != C.TT.generation()) {
-    std::fill(FastCache.begin(), FastCache.end(), FastCacheEntry{});
-    FastCacheGen = C.TT.generation();
-  }
-  FastCache[hashAddr(PC) & (FastCacheSize - 1)] = FastCacheEntry{PC, T};
+  Line() = FastCacheEntry{PC, T};
   return T;
 }
 
-Translation *DispatchLoop::promoteHot(uint32_t PC) {
-  ++C.Stats.HotPromotions;
-  // insert() replaces the cold translation; its predecessors' chain slots
-  // are re-parked and relink to the superblock immediately (TransTab's
-  // eager waiter resolution), so the hot path re-forms without further
-  // dispatcher round-trips.
-  return C.XS->translateSync(PC, /*Hot=*/true);
-}
-
-void DispatchLoop::traceInstalled(Translation *T, uint64_t GenBefore) {
-  ++C.Stats.TracesFormed;
-  if (C.TT.generation() == GenBefore + 1) {
-    // Only the replaced tier-1 head died in the insert: repair its
-    // fast-cache line surgically, exactly as the promotion path does. Any
-    // bigger generation jump (an eviction run) lets the generation check
-    // wipe the cache wholesale on the next dispatch.
-    FastCacheGen = C.TT.generation();
-    FastCache[hashAddr(T->Addr) & (FastCacheSize - 1)] =
-        FastCacheEntry{T->Addr, T};
+void DispatchLoop::repairFastCache(ShardCtx &S, uint32_t PC, Translation *T,
+                                   uint64_t GenBefore) {
+  // Only valid when the cache was current before the install: otherwise
+  // stamping it current would resurrect lines of translations retired
+  // earlier. Other contexts see the generation bump and wipe.
+  if (S.FastCacheGen == GenBefore && C.TT.generation() == GenBefore + 1) {
+    S.FastCacheGen = GenBefore + 1;
+    S.FastCache[hashAddr(PC) & (FastCacheSize - 1)] = FastCacheEntry{PC, T};
   }
 }
 
@@ -113,16 +108,16 @@ TraceSpec DispatchLoop::selectTracePath(Translation *Head) {
 
 const hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
                                                      uint32_t Slot) {
-  DispatchLoop *D = static_cast<DispatchLoop *>(User);
-  Core &C = D->C;
+  // Runs lock-free inside Exec.run: every counter it bumps is the
+  // context's own, and the bounce prefills the context's own fast cache.
+  auto *S = static_cast<ShardCtx *>(User);
+  Core &C = S->D->C;
   auto *T = static_cast<Translation *>(Cookie);
-  // Side-exit accounting: a tier-2 exit through any slot other than the
-  // terminal one means a guarded speculation failed and the trace bailed
-  // to a constituent. (Counted here because with chaining on — a trace-
-  // formation precondition — every constant Boring exit consults this
-  // thunk whether or not the slot is filled.)
+  // Side-exit accounting: a tier-2 exit through any slot but the terminal
+  // one is a failed guard. (Traces need chaining, so every constant Boring
+  // exit consults this thunk, filled slot or not.)
   if (T->Tier == 2 && Slot != T->Blob.TerminalChainSlot)
-    ++C.Stats.TraceSideExits;
+    ++S->TraceSideExits;
   // Acquire pairs with the release install in TransTab::chainTo: a filled
   // slot must imply a fully-initialised successor blob.
   Translation *Succ = Slot < T->Chain.size()
@@ -131,51 +126,56 @@ const hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
   if (!Succ)
     return nullptr;
   // Hotness accounting happens here too, or chained loops would never
-  // cross the threshold. A successor about to go hot bounces back to the
-  // dispatcher, which performs the promotion (retranslation must not run
-  // while the executor is inside the chain).
-  if (C.HotThreshold && Succ->Tier == 0 &&
-      Succ->ExecCount.load(std::memory_order_relaxed) + 1 >=
-          C.HotThreshold) {
-    // The successor is known — the bounce exists only to run the promotion
-    // from dispatcher context. Prefill its fast-cache line so the bounced
-    // dispatch doesn't pay a table lookup for a block we are holding.
-    if (D->FastCacheGen == C.TT.generation())
-      D->FastCache[hashAddr(Succ->Addr) & (FastCacheSize - 1)] =
-          FastCacheEntry{Succ->Addr, Succ};
-    return nullptr;
-  }
-  // Same bounce for trace formation: a tier-1 successor crossing the trace
-  // threshold returns to the dispatcher, which selects the path and
-  // stitches there — never from inside a chain. TraceRetryAt keeps a head
-  // whose chain graph proved unbiased from bouncing every transfer.
-  if (C.TraceTier && Succ->Tier == 1 &&
-      Succ->ExecCount.load(std::memory_order_relaxed) + 1 >=
-          C.effTraceThreshold() &&
-      Succ->ExecCount.load(std::memory_order_relaxed) + 1 >=
-          Succ->TraceRetryAt.load(std::memory_order_relaxed)) {
-    if (D->FastCacheGen == C.TT.generation())
-      D->FastCache[hashAddr(Succ->Addr) & (FastCacheSize - 1)] =
+  // cross a threshold. A successor crossing the hot or trace threshold
+  // bounces to the dispatcher, which promotes or stitches under the world
+  // lock — never inside a chain, where an install could evict running
+  // code. TraceRetryAt stops an unbiased head bouncing every transfer.
+  uint64_t E = Succ->ExecCount.load(std::memory_order_relaxed) + 1;
+  if ((C.HotThreshold && Succ->Tier == 0 && E >= C.HotThreshold) ||
+      (C.TraceTier && Succ->Tier == 1 && E >= C.effTraceThreshold() &&
+       E >= Succ->TraceRetryAt.load(std::memory_order_relaxed))) {
+    // Prefill the successor's fast-cache line so the bounced dispatch
+    // doesn't pay a table lookup for a block we are holding.
+    if (S->FastCacheGen == C.TT.generation())
+      S->FastCache[hashAddr(Succ->Addr) & (FastCacheSize - 1)] =
           FastCacheEntry{Succ->Addr, Succ};
     return nullptr;
   }
   Succ->ExecCount.fetch_add(1, std::memory_order_relaxed);
   if (Slot < T->EdgeExecs.size())
     T->EdgeExecs[Slot].fetch_add(1, std::memory_order_relaxed);
-  ++C.Stats.ChainedTransfers;
+  ++S->ChainedTransfers;
   if (Succ->Tier == 2)
-    ++C.Stats.TraceExecs;
-  if (C.Prof)
+    ++S->TraceExecs;
+  // The profiler's map is world-lock property: only the exclusive context
+  // holds the world here.
+  if (S->Exclusive && C.Prof)
     C.Prof->noteExec(Succ->Addr);
   return &Succ->Blob;
 }
 
 //===----------------------------------------------------------------------===//
-// The serial dispatcher/scheduler (Section 3.9/3.14)
+// The dispatch loop (Section 3.9)
 //===----------------------------------------------------------------------===//
 
-void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
-                                uint32_t StopPC) {
+// Inline: the exclusive context pays this on every dispatch.
+inline std::unique_lock<std::mutex> DispatchLoop::lockWorld(ShardCtx &S) {
+  std::unique_lock<std::mutex> World;
+  if (!S.Exclusive) {
+    ++S.WorldLockAcquisitions;
+    World = std::unique_lock<std::mutex>(WorldMu);
+  }
+  // The clock is written only here, under the world lock, so advancing it
+  // needs no atomic read-modify-write. A context's blocks reach it at its
+  // next boundary, before anything there can read it.
+  BlockClock.store(BlockClock.load(std::memory_order_relaxed) +
+                       std::exchange(S.Unclocked, 0),
+                   std::memory_order_relaxed);
+  return World;
+}
+
+void DispatchLoop::dispatchQuantum(ShardCtx &S, ThreadState &TS,
+                                   uint64_t &Quantum, uint32_t StopPC) {
   ExecContext Ctx;
   Ctx.GuestState = TS.Guest;
   Ctx.Mem = &C.Memory;
@@ -185,117 +185,138 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
   Ctx.Tid = TS.Tid;
   hvm::Executor Exec(Ctx, gso::PC);
   if (C.ChainingEnabled)
-    Exec.setChaining(&chainResolveThunk, this);
+    Exec.setChaining(&chainResolveThunk, &S);
 
-  // Lazy chain-fill fallback (register-constant edges the eager linker
-  // could not resolve at insert time never reach here; this catches edges
-  // whose slot was parked and has since been cancelled). LastGen guards
-  // against the cookie dangling after an eviction.
+  // The previous Boring exit, for the lazy chain-fill fallback (edges
+  // whose slot was parked and has since been cancelled).
   void *LastCookie = nullptr;
   uint32_t LastSlot = ~0u;
-  uint64_t LastGen = 0;
+  uint32_t LastAddr = 0;
 
-  while (Quantum > 0 && !C.ProcessExited && !C.FatalSignal &&
-         TS.Status == ThreadStatus::Runnable && !YieldRequested) {
-    if (C.Faults)
-      injectBoundaryFaults(TS);
-    if (C.Signals->deliverPending(TS)) {
-      // A delivery consumes one slice of the quantum on top of the
-      // handler's own blocks (counted by Exec.run like any others), so a
-      // signal storm cannot starve the other threads.
-      Quantum -= std::min<uint64_t>(Quantum, 1);
-      continue; // PC changed; redispatch
-    }
+  YieldFlags[TS.Tid].store(false, std::memory_order_relaxed);
+  while (Quantum > 0 && !C.ProcessExited.load(std::memory_order_acquire) &&
+         !C.FatalSignal.load(std::memory_order_acquire) &&
+         TS.Status == ThreadStatus::Runnable &&
+         !YieldFlags[TS.Tid].load(std::memory_order_relaxed)) {
+    // Quiescent point: between Exec.run calls this context holds no
+    // translation pointer except LastCookie — and that one is only ever
+    // dereferenced after the residency check below proves the table still
+    // maps LastAddr to this exact pointer.
+    S.LocalEpoch.store(GlobalEpoch.load(std::memory_order_acquire),
+                       std::memory_order_release);
 
-    uint32_t PC = TS.getPC();
-    if (PC == StopPC)
-      return;
+    Translation *T;
+    {
+      std::unique_lock<std::mutex> World = lockWorld(S);
+      if (C.Faults)
+        injectBoundaryFaults(TS);
+      if (C.Signals->deliverPending(TS)) {
+        // A delivery consumes one slice of the quantum on top of the
+        // handler's own blocks (counted by Exec.run like any others), so a
+        // signal storm cannot starve the other threads.
+        Quantum -= std::min<uint64_t>(Quantum, 1);
+        continue; // PC changed; redispatch
+      }
 
-    // Function redirection (Section 3.13).
-    if (const uint32_t *GR = C.Redirects->guestTarget(PC)) {
-      TS.setPCVal(*GR);
-      continue;
-    }
-    if (const HostReplacementFn *HR = C.Redirects->hostReplacement(PC)) {
-      ++C.Stats.HostRedirectCalls;
-      (*HR)(C, TS);
-      // Perform the guest return: pop the address CALL pushed.
-      uint32_t SP = TS.gpr(RegSP);
-      uint32_t Ret = 0;
-      if (C.Memory.read(SP, &Ret, 4, /*IgnorePerms=*/true).Faulted) {
-        C.Signals->handleFault(TS, PC, SP, false, SigSEGV);
+      uint32_t PC = TS.getPC();
+      if (PC == StopPC)
+        return;
+
+      // Function redirection (Section 3.13).
+      if (const uint32_t *GR = C.Redirects->guestTarget(PC)) {
+        TS.setPCVal(*GR);
         continue;
       }
-      TS.setGpr(RegSP, SP + 4);
-      TS.setPCVal(Ret);
+      if (const HostReplacementFn *HR = C.Redirects->hostReplacement(PC)) {
+        ++C.Stats.HostRedirectCalls;
+        // The replacement body runs under the world lock, including any
+        // callGuest re-entry, which dispatches on the exclusive context.
+        // Host replacements are slow-path by contract.
+        (*HR)(C, TS);
+        // Perform the guest return: pop the address CALL pushed.
+        uint32_t SP = TS.gpr(RegSP);
+        uint32_t Ret = 0;
+        if (C.Memory.read(SP, &Ret, 4, /*IgnorePerms=*/true).Faulted) {
+          C.Signals->handleFault(TS, PC, SP, false, SigSEGV);
+          continue;
+        }
+        TS.setGpr(RegSP, SP + 4);
+        TS.setPCVal(Ret);
+        LastCookie = nullptr;
+        continue;
+      }
+
+      T = findOrTranslate(S, PC);
+
+      // Fill the previous exit's chain slot now that the successor is
+      // known, if the cookie is still resident: the table must still map
+      // LastAddr to this exact pointer (compared, not dereferenced). A
+      // generation compare is no proof under shards — another shard may
+      // retire the translation before the Boring exit saves its cookie —
+      // and chaining a retired translation plants freed memory in the
+      // chain graph's waiter list (DESIGN section 14).
+      if (C.ChainingEnabled && LastCookie && LastSlot != ~0u &&
+          C.TT.find(LastAddr) == LastCookie) {
+        auto *Prev = static_cast<Translation *>(LastCookie);
+        // Only link true fall-through edges: if the exit's recorded
+        // constant target is not the PC we dispatched (a guest redirect
+        // rewrote it), chaining would bypass the redirect check.
+        if (LastSlot < Prev->Blob.ChainTargets.size() &&
+            Prev->Blob.ChainTargets[LastSlot] == PC) {
+          C.TT.chainTo(Prev, LastSlot, T);
+          // A dispatcher-mediated traversal of this edge (unfilled slot or
+          // a thunk bounce) is edge-profile evidence just like a chained
+          // one.
+          if (LastSlot < Prev->EdgeExecs.size())
+            Prev->EdgeExecs[LastSlot].fetch_add(1, std::memory_order_relaxed);
+        }
+      }
       LastCookie = nullptr;
-      continue;
-    }
+      LastSlot = ~0u;
 
-    Translation *T = findOrTranslate(PC);
-
-    // Fill the previous exit's chain slot now that the successor is known.
-    // Safe only if no eviction ran since the exit (the cookie would dangle).
-    if (C.ChainingEnabled && LastCookie && LastSlot != ~0u &&
-        C.TT.generation() == LastGen) {
-      auto *Prev = static_cast<Translation *>(LastCookie);
-      // Only link true fall-through edges: if the exit's recorded constant
-      // target is not the PC we dispatched (a guest redirect rewrote it),
-      // chaining would bypass the dispatcher's redirect check.
-      if (LastSlot < Prev->Blob.ChainTargets.size() &&
-          Prev->Blob.ChainTargets[LastSlot] == PC) {
-        C.TT.chainTo(Prev, LastSlot, T);
-        // A dispatcher-mediated traversal of this edge (unfilled slot or a
-        // thunk bounce) is edge-profile evidence just like a chained one.
-        if (LastSlot < Prev->EdgeExecs.size())
-          Prev->EdgeExecs[LastSlot].fetch_add(1, std::memory_order_relaxed);
+      // Hotness tier: once a block has proven itself, retranslate it as a
+      // superblock, stalling the guest. The insert replaces the cold
+      // translation, and its predecessors' chain slots relink to the
+      // superblock at once (TransTab's eager waiter resolution).
+      uint64_t Execs =
+          T->ExecCount.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (C.Prof)
+        C.Prof->noteExec(PC);
+      if (C.HotThreshold && T->Tier == 0 && Execs >= C.HotThreshold) {
+        ++C.Stats.HotPromotions;
+        uint64_t GenBefore = C.TT.generation();
+        T = C.XS->translateSync(PC, /*Hot=*/true);
+        repairFastCache(S, PC, T, GenBefore);
       }
-    }
-    LastCookie = nullptr;
-    LastSlot = ~0u;
 
-    // Hotness tier: promote once a block has proven itself.
-    uint64_t Execs = T->ExecCount.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (C.Prof)
-      C.Prof->noteExec(PC);
-    if (C.HotThreshold && T->Tier == 0 && Execs >= C.HotThreshold) {
-      uint64_t GenBefore = C.TT.generation();
-      T = promoteHot(PC);
-      if (C.TT.generation() == GenBefore + 1) {
-        // Only the replaced translation died: repair its fast-cache line
-        // surgically instead of letting the generation check wipe the
-        // whole cache (every other entry still points at live memory).
-        FastCacheGen = C.TT.generation();
-        FastCache[hashAddr(PC) & (FastCacheSize - 1)] = FastCacheEntry{PC, T};
+      // Trace tier: a tier-1 superblock whose chain edges have proven
+      // strongly biased gets its dominant path stitched into one trace.
+      // Requires chaining (the chain graph is both the evidence and the
+      // profit mechanism). Re-read the exec count: the promotion above may
+      // have replaced T.
+      uint64_t TExecs = T->ExecCount.load(std::memory_order_relaxed);
+      if (C.TraceTier && C.ChainingEnabled && T->Tier == 1 &&
+          TExecs >= C.effTraceThreshold() &&
+          TExecs >= T->TraceRetryAt.load(std::memory_order_relaxed)) {
+        TraceSpec Spec = selectTracePath(T);
+        uint64_t GenBefore = C.TT.generation();
+        Translation *NT =
+            Spec.Entries.size() < 2 ? nullptr : C.XS->translateTrace(Spec);
+        if (NT) {
+          T = NT; // the old T was replaced by the insert: run the trace now
+          repairFastCache(S, PC, T, GenBefore);
+        } else {
+          // No dominant successor (the chain graph is unbiased at the
+          // head) or a spill overflow: back off exponentially rather than
+          // re-walking it every entry.
+          T->TraceRetryAt.store(TExecs * 2, std::memory_order_relaxed);
+        }
       }
-    }
-
-    // Trace tier: a tier-1 superblock whose chain edges have proven
-    // strongly biased gets its dominant path stitched into one trace.
-    // Requires chaining (the chain graph is both the evidence and the
-    // profit mechanism) and runs only at this boundary — never inside a
-    // chain, where an install could evict code being executed.
-    // Re-read the exec count: the promotion above may have replaced T.
-    uint64_t TExecs = T->ExecCount.load(std::memory_order_relaxed);
-    if (C.TraceTier && C.ChainingEnabled && T->Tier == 1 &&
-        TExecs >= C.effTraceThreshold() &&
-        TExecs >= T->TraceRetryAt.load(std::memory_order_relaxed)) {
-      TraceSpec Spec = selectTracePath(T);
-      if (Spec.Entries.size() < 2) {
-        // No dominant successor: the chain graph is unbiased at the head.
-        // Back off exponentially rather than re-walking it every entry.
-        T->TraceRetryAt.store(TExecs * 2, std::memory_order_relaxed);
-      } else if (Translation *NT = C.XS->translateTrace(Spec)) {
-        T = NT; // the old T was replaced by the insert: run the trace now
-      } else {
-        // spill overflow: back off
-        T->TraceRetryAt.store(TExecs * 2, std::memory_order_relaxed);
-      }
-    }
-    // Counted against the translation that actually runs: a trace formed
-    // just above executes (and may side-exit) on this very dispatch.
-    if (T->Tier == 2)
-      ++C.Stats.TraceExecs;
+      // Counted against the translation that actually runs: a trace formed
+      // just above executes (and may side-exit) on this very dispatch.
+      if (T->Tier == 2)
+        ++S.TraceExecs;
+    } // World lock released — everything below runs lock-free.
 
     // The chain budget is Quantum - 1 (this dispatch itself is one block);
     // guard the subtraction — delivery charges above can leave the quantum
@@ -304,10 +325,11 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
     uint64_t ChainBudget =
         (C.ChainingEnabled && Quantum > 0) ? Quantum - 1 : 0;
     hvm::RunOutcome O = Exec.run(T->Blob, ChainBudget);
-    C.Stats.BlocksDispatched += O.BlocksExecuted;
+    S.Unclocked += O.BlocksExecuted;
     Quantum -= std::min<uint64_t>(Quantum, O.BlocksExecuted);
 
     if (O.K == hvm::RunOutcome::Kind::Fault) {
+      std::unique_lock<std::mutex> World = lockWorld(S);
       C.Signals->handleFault(TS, O.FaultPC, O.FaultAddr, O.FaultWrite,
                              SigSEGV);
       continue;
@@ -317,46 +339,57 @@ void DispatchLoop::dispatchLoop(ThreadState &TS, uint64_t &Quantum,
     case ir::JumpKind::Boring:
       LastCookie = O.ExitCookie;
       LastSlot = O.ExitSlot;
-      LastGen = C.TT.generation();
+      // Safe to dereference here and only here: the translation was live
+      // after this iteration's epoch announcement, so no retirement can
+      // free it before the next one.
+      LastAddr = static_cast<Translation *>(LastCookie)->Addr;
       continue;
     case ir::JumpKind::Call:
     case ir::JumpKind::Ret:
       continue;
-    case ir::JumpKind::Syscall: {
-      SimKernel::Action A = C.Kernel->onSyscall(TS);
-      if (A == SimKernel::Action::Exit) {
-        C.ProcessExited = true;
-        C.ProcessExitCode = C.Kernel->exitCode();
-        stopWorld();
-      }
-      continue;
-    }
-    case ir::JumpKind::ClientReq:
-      C.ClReqs->handle(TS);
-      continue;
     case ir::JumpKind::Yield:
       Quantum = 0;
       continue;
+    default:
+      break;
+    }
+
+    // Every other exit mutates world-lock property: the kernel, signal
+    // state, translation tables, tool state.
+    std::unique_lock<std::mutex> World = lockWorld(S);
+    switch (O.JK) {
+    case ir::JumpKind::Syscall:
+      if (C.Kernel->onSyscall(TS) == SimKernel::Action::Exit) {
+        C.ProcessExited.store(true, std::memory_order_release);
+        C.ProcessExitCode = C.Kernel->exitCode();
+        stopWorld();
+      }
+      break;
+    case ir::JumpKind::ClientReq:
+      C.ClReqs->handle(TS);
+      break;
     case ir::JumpKind::Exit:
-      C.ProcessExited = true;
+      C.ProcessExited.store(true, std::memory_order_release);
       stopWorld();
-      continue;
+      break;
     case ir::JumpKind::NoDecode:
       C.Signals->handleFault(TS, O.NextPC, O.NextPC, false, SigILL);
-      continue;
-    case ir::JumpKind::SmcFail: {
+      break;
+    case ir::JumpKind::SmcFail:
       // Stale translation: throw it (and anything else over those bytes)
       // away and retranslate. PC is unchanged.
       ++C.Stats.SmcRetranslations;
       for (auto [Lo, Hi] : T->Extents)
         C.XS->invalidate(Lo, Hi - Lo);
-      continue;
-    }
+      break;
     case ir::JumpKind::SigSEGV:
       C.Signals->handleFault(TS, O.NextPC, O.NextPC, false, SigSEGV);
-      continue;
+      break;
+    default:
+      break;
     }
   }
+  lockWorld(S); // publishes the last run's blocks to the clock
 }
 
 void DispatchLoop::injectBoundaryFaults(ThreadState &TS) {
@@ -390,11 +423,43 @@ void DispatchLoop::injectBoundaryFaults(ThreadState &TS) {
   }
 }
 
-CoreExit DispatchLoop::run(uint64_t MaxBlocks) {
+//===----------------------------------------------------------------------===//
+// The schedulers (Section 3.14)
+//===----------------------------------------------------------------------===//
+
+uint64_t DispatchLoop::quantumLeft() const {
+  uint64_t Clock = BlockClock.load(std::memory_order_relaxed);
+  return std::min<uint64_t>(Core::ThreadQuantum,
+                            MaxBlocks - std::min(MaxBlocks, Clock));
+}
+
+void DispatchLoop::foldCounters(ShardCtx &S) {
+  C.Stats.FastCacheHits += std::exchange(S.FastCacheHits, 0);
+  C.Stats.FastCacheMisses += std::exchange(S.FastCacheMisses, 0);
+  C.Stats.ChainedTransfers += std::exchange(S.ChainedTransfers, 0);
+  C.Stats.TraceExecs += std::exchange(S.TraceExecs, 0);
+  C.Stats.TraceSideExits += std::exchange(S.TraceSideExits, 0);
+}
+
+CoreExit DispatchLoop::run(uint64_t Budget) {
+  MaxBlocks = Budget;
   if (C.SchedThreads > 1)
-    return runParallel(MaxBlocks);
+    runParallel();
+  else
+    runSerial();
+  // Single-threaded again: fold every context's counters (callGuest runs
+  // on the exclusive one under either scheduler) and settle the clock.
+  foldCounters(CoreCtx);
+  for (auto &S : Shards)
+    foldCounters(*S);
+  C.Stats.BlocksDispatched = BlockClock.load(std::memory_order_relaxed);
+  C.Stats.TracesFormed = C.XS->jitStats().TraceInstalled;
+  return C.finishRun();
+}
+
+void DispatchLoop::runSerial() {
   while (!C.ProcessExited && !C.FatalSignal && C.liveThreads() > 0 &&
-         C.Stats.BlocksDispatched < MaxBlocks) {
+         BlockClock.load(std::memory_order_relaxed) < MaxBlocks) {
     // Round-robin thread choice (the serialised big lock of Section 3.14:
     // exactly one thread ever runs).
     int Next = -1;
@@ -415,9 +480,7 @@ CoreExit DispatchLoop::run(uint64_t MaxBlocks) {
                          static_cast<uint32_t>(Next));
     }
     C.CurTid = Next;
-    YieldRequested = false;
-    uint64_t Quantum = std::min<uint64_t>(
-        Core::ThreadQuantum, MaxBlocks - C.Stats.BlocksDispatched);
+    uint64_t Quantum = quantumLeft();
     // Forced preemption: shrink this slice to a single block, shaking out
     // scheduling assumptions the 100k-block quantum normally hides.
     if (C.Faults && Quantum > 1 && C.Faults->roll(FaultKind::Preempt)) {
@@ -426,10 +489,9 @@ CoreExit DispatchLoop::run(uint64_t MaxBlocks) {
                                static_cast<uint32_t>(FaultKind::Preempt), 1);
       Quantum = 1;
     }
-    dispatchLoop(C.Threads[C.CurTid], Quantum, /*StopPC=*/0xFFFFFFFF);
+    dispatchQuantum(CoreCtx, C.Threads[C.CurTid], Quantum,
+                    /*StopPC=*/0xFFFFFFFF);
   }
-
-  return C.finishRun();
 }
 
 //===----------------------------------------------------------------------===//
@@ -438,12 +500,12 @@ CoreExit DispatchLoop::run(uint64_t MaxBlocks) {
 //
 // The serial scheduler above *is* the big lock of Section 3.14: one host
 // thread, one guest thread at a time. runParallel breaks it: N host
-// "shards" each pop a runnable guest thread from the run queue and execute
-// one quantum concurrently. The big lock survives in miniature as WorldMu,
-// held only for block-boundary slow work (translate, chain, promote,
-// signals, syscalls, client requests); Exec.run and the chain-resolve
-// thunk — where virtually all time goes for a CPU-bound guest — run with
-// no lock at all.
+// "shards" each pop a runnable guest thread from the run queue and run one
+// quantum of the same dispatch loop concurrently, each on its own context.
+// The big lock survives in miniature as WorldMu, held only for
+// block-boundary slow work (translate, chain, promote, signals, syscalls,
+// client requests); Exec.run and the chain-resolve thunk — where virtually
+// all time goes for a CPU-bound guest — run with no lock at all.
 //
 // Memory reclamation is the crux. A shard executing inside the code cache
 // holds raw Translation pointers no lock protects, so nothing another
@@ -456,8 +518,7 @@ CoreExit DispatchLoop::run(uint64_t MaxBlocks) {
 // shard announces ~0 (it holds nothing). The same deferred-destruction
 // idea covers guest pages and shadow chunks via their graveyards.
 
-CoreExit DispatchLoop::runParallel(uint64_t MaxBlocks) {
-  MaxBlocksMT = MaxBlocks;
+void DispatchLoop::runParallel() {
   // Unmapped guest pages and reclaimed shadow chunks must survive until
   // the run ends: lock-free readers (helpers, other shards' Exec.run) may
   // still be dereferencing them.
@@ -467,8 +528,6 @@ CoreExit DispatchLoop::runParallel(uint64_t MaxBlocks) {
   C.TT.setRetireHook([this](std::unique_ptr<Translation> T) {
     retireTranslation(std::move(T));
   });
-  if (C.Tracer)
-    C.Tracer->setAtomicClock(&GlobalBlockClock);
 
   RunQ = std::make_unique<RunQueue>();
   for (int I = 0; I != Core::MaxThreads; ++I)
@@ -478,9 +537,7 @@ CoreExit DispatchLoop::runParallel(uint64_t MaxBlocks) {
   Shards.clear();
   for (unsigned I = 0; I != C.SchedThreads; ++I) {
     auto S = std::make_unique<ShardCtx>();
-    S->C = &C;
     S->D = this;
-    S->Index = I;
     S->FastCache.resize(FastCacheSize);
     Shards.push_back(std::move(S));
   }
@@ -493,21 +550,13 @@ CoreExit DispatchLoop::runParallel(uint64_t MaxBlocks) {
       W.join();
   }
 
-  // Single-threaded again: merge the shards' lock-free counters, settle
-  // the block clock, and drain what the grace periods held back.
-  for (auto &S : Shards) {
-    C.Stats.ChainedTransfers += S->ChainedTransfers;
-    C.Stats.TraceExecs += S->TraceExecs;
-    C.Stats.TraceSideExits += S->TraceSideExits;
-  }
-  C.Stats.BlocksDispatched = GlobalBlockClock.load(std::memory_order_relaxed);
+  // Drain what the grace periods held back.
   RunQPushes = RunQ->pushes();
   RunQPops = RunQ->pops();
   RunQWaits = RunQ->waits();
   C.TT.setRetireHook({});
   Limbo.clear();
   RunQ.reset();
-  return C.finishRun();
 }
 
 void DispatchLoop::shardMain(ShardCtx &S) {
@@ -519,301 +568,18 @@ void DispatchLoop::shardMain(ShardCtx &S) {
     if (Tid == RunQueue::Shutdown)
       return;
     ++S.Quanta;
-    dispatchLoopMT(S, C.Threads[Tid]);
+    uint64_t Quantum = quantumLeft();
+    dispatchQuantum(S, C.Threads[Tid], Quantum, /*StopPC=*/0xFFFFFFFF);
     S.LocalEpoch.store(~0ull, std::memory_order_release);
     if (C.ProcessExited.load(std::memory_order_acquire) ||
-        C.FatalSignal.load(std::memory_order_acquire)) {
-      RunQ->shutdown();
-      return;
-    }
-    if (GlobalBlockClock.load(std::memory_order_relaxed) >= MaxBlocksMT) {
+        C.FatalSignal.load(std::memory_order_acquire) ||
+        BlockClock.load(std::memory_order_relaxed) >= MaxBlocks) {
       RunQ->shutdown();
       return;
     }
     if (C.Threads[Tid].Status == ThreadStatus::Runnable)
       RunQ->push(Tid);
   }
-}
-
-void DispatchLoop::dispatchLoopMT(ShardCtx &S, ThreadState &TS) {
-  ExecContext Ctx;
-  Ctx.GuestState = TS.Guest;
-  Ctx.Mem = &C.Memory;
-  Ctx.Core = &C;
-  Ctx.Tool = C.ToolPlugin;
-  Ctx.ShadowSM = C.ToolPlugin ? C.ToolPlugin->shadowMap() : nullptr;
-  Ctx.Tid = TS.Tid;
-  hvm::Executor Exec(Ctx, gso::PC);
-  if (C.ChainingEnabled)
-    Exec.setChaining(&chainResolveThunkMT, &S);
-
-  YieldFlags[TS.Tid].store(false, std::memory_order_relaxed);
-  uint64_t Clock = GlobalBlockClock.load(std::memory_order_relaxed);
-  uint64_t Quantum = std::min<uint64_t>(
-      Core::ThreadQuantum, MaxBlocksMT - std::min(MaxBlocksMT, Clock));
-
-  void *LastCookie = nullptr;
-  uint32_t LastSlot = ~0u;
-  uint32_t LastAddr = 0;
-
-  while (Quantum > 0 && !C.ProcessExited.load(std::memory_order_acquire) &&
-         !C.FatalSignal.load(std::memory_order_acquire) &&
-         TS.Status == ThreadStatus::Runnable &&
-         !YieldFlags[TS.Tid].load(std::memory_order_relaxed)) {
-    // Quiescent point: between Exec.run calls this shard holds no
-    // translation pointer except LastCookie — and that one is only ever
-    // dereferenced after the residency check below proves the table still
-    // maps LastAddr to this exact pointer.
-    S.LocalEpoch.store(GlobalEpoch.load(std::memory_order_acquire),
-                       std::memory_order_release);
-
-    Translation *T;
-    {
-      std::lock_guard<std::mutex> World(WorldMu);
-      ++S.WorldLockAcquisitions;
-      if (C.Faults)
-        injectBoundaryFaults(TS);
-      if (C.Signals->deliverPending(TS)) {
-        Quantum -= std::min<uint64_t>(Quantum, 1);
-        continue;
-      }
-
-      uint32_t PC = TS.getPC();
-      if (const uint32_t *GR = C.Redirects->guestTarget(PC)) {
-        TS.setPCVal(*GR);
-        continue;
-      }
-      if (const HostReplacementFn *HR = C.Redirects->hostReplacement(PC)) {
-        ++C.Stats.HostRedirectCalls;
-        // The replacement body runs under the world lock, including any
-        // callGuest re-entry (which uses the serial dispatchLoop and the
-        // core's own fast cache — both world-lock property in MT). Host
-        // replacements are slow-path by contract.
-        (*HR)(C, TS);
-        uint32_t SP = TS.gpr(RegSP);
-        uint32_t Ret = 0;
-        if (C.Memory.read(SP, &Ret, 4, /*IgnorePerms=*/true).Faulted) {
-          C.Signals->handleFault(TS, PC, SP, false, SigSEGV);
-          continue;
-        }
-        TS.setGpr(RegSP, SP + 4);
-        TS.setPCVal(Ret);
-        LastCookie = nullptr;
-        continue;
-      }
-
-      T = findOrTranslateMT(S, PC);
-
-      // Lazy chain-fill, exactly as in the serial loop — but the serial
-      // loop's generation check is NOT sufficient proof here that
-      // LastCookie still points at a live translation. Another shard can
-      // retire the very translation this shard is executing (promotion
-      // install, eviction, SMC flush) *before* the Boring exit saves the
-      // cookie, so the saved generation already includes that retirement
-      // and the compare passes on a limbo'd — soon freed — object. Worse
-      // than the dangling read: chaining through such a cookie injects a
-      // back-edge from a retired translation into the live chain graph,
-      // which unlinkChains later re-parks as a waiter whose From is freed
-      // memory. Instead, re-validate residency by address: the cookie is
-      // live iff the table still maps LastAddr to this exact pointer
-      // (pointer compare only — no dereference until it passes).
-      if (C.ChainingEnabled && LastCookie && LastSlot != ~0u &&
-          C.TT.find(LastAddr) == LastCookie) {
-        auto *Prev = static_cast<Translation *>(LastCookie);
-        if (LastSlot < Prev->Blob.ChainTargets.size() &&
-            Prev->Blob.ChainTargets[LastSlot] == PC) {
-          C.TT.chainTo(Prev, LastSlot, T);
-          if (LastSlot < Prev->EdgeExecs.size())
-            Prev->EdgeExecs[LastSlot].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      LastCookie = nullptr;
-      LastSlot = ~0u;
-
-      uint64_t Execs =
-          T->ExecCount.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (C.Prof)
-        C.Prof->noteExec(PC);
-      if (C.HotThreshold && T->Tier == 0 && Execs >= C.HotThreshold) {
-        uint64_t GenBefore = C.TT.generation();
-        T = promoteHot(PC);
-        if (C.TT.generation() == GenBefore + 1) {
-          // Surgical repair of this shard's own line (the serial loop's
-          // trick); other shards see the generation bump and wipe.
-          S.FastCacheGen = C.TT.generation();
-          S.FastCache[hashAddr(PC) & (FastCacheSize - 1)] =
-              FastCacheEntry{PC, T};
-        }
-      }
-
-      uint64_t TExecs = T->ExecCount.load(std::memory_order_relaxed);
-      if (C.TraceTier && C.ChainingEnabled && T->Tier == 1 &&
-          TExecs >= C.effTraceThreshold() &&
-          TExecs >= T->TraceRetryAt.load(std::memory_order_relaxed)) {
-        TraceSpec Spec = selectTracePath(T);
-        if (Spec.Entries.size() < 2) {
-          T->TraceRetryAt.store(TExecs * 2, std::memory_order_relaxed);
-        } else if (Translation *NT = C.XS->translateTrace(Spec)) {
-          T = NT;
-        } else {
-          T->TraceRetryAt.store(TExecs * 2, std::memory_order_relaxed);
-        }
-      }
-      // As in the serial loop: counted after the final T is chosen.
-      if (T->Tier == 2)
-        ++C.Stats.TraceExecs;
-    } // WorldMu released — everything below runs lock-free.
-
-    uint64_t ChainBudget = (C.ChainingEnabled && Quantum > 0) ? Quantum - 1 : 0;
-    hvm::RunOutcome O = Exec.run(T->Blob, ChainBudget);
-    GlobalBlockClock.fetch_add(O.BlocksExecuted, std::memory_order_relaxed);
-    Quantum -= std::min<uint64_t>(Quantum, O.BlocksExecuted);
-
-    if (O.K == hvm::RunOutcome::Kind::Fault) {
-      std::lock_guard<std::mutex> World(WorldMu);
-      ++S.WorldLockAcquisitions;
-      C.Signals->handleFault(TS, O.FaultPC, O.FaultAddr, O.FaultWrite,
-                             SigSEGV);
-      continue;
-    }
-
-    switch (O.JK) {
-    case ir::JumpKind::Boring:
-      LastCookie = O.ExitCookie;
-      LastSlot = O.ExitSlot;
-      // Dereferencing the cookie is safe HERE and only here: the chain
-      // pointer that led to this translation was still live after this
-      // quantum's epoch announcement, so even a mid-quantum retirement
-      // cannot reclaim its memory before this shard next announces. The
-      // address is what the next iteration's residency check keys on.
-      LastAddr = static_cast<Translation *>(LastCookie)->Addr;
-      continue;
-    case ir::JumpKind::Call:
-    case ir::JumpKind::Ret:
-      continue;
-    case ir::JumpKind::Syscall: {
-      std::lock_guard<std::mutex> World(WorldMu);
-      ++S.WorldLockAcquisitions;
-      SimKernel::Action A = C.Kernel->onSyscall(TS);
-      if (A == SimKernel::Action::Exit) {
-        C.ProcessExited.store(true, std::memory_order_release);
-        C.ProcessExitCode = C.Kernel->exitCode();
-        stopWorld();
-      }
-      continue;
-    }
-    case ir::JumpKind::ClientReq: {
-      // Client requests take the world lock exactly like syscalls: they
-      // mutate world-lock property (translation tables, the registered-
-      // stack list, the replacement heap, tool state).
-      std::lock_guard<std::mutex> World(WorldMu);
-      ++S.WorldLockAcquisitions;
-      C.ClReqs->handle(TS);
-      continue;
-    }
-    case ir::JumpKind::Yield:
-      Quantum = 0;
-      continue;
-    case ir::JumpKind::Exit: {
-      std::lock_guard<std::mutex> World(WorldMu);
-      ++S.WorldLockAcquisitions;
-      C.ProcessExited.store(true, std::memory_order_release);
-      stopWorld();
-      continue;
-    }
-    case ir::JumpKind::NoDecode: {
-      std::lock_guard<std::mutex> World(WorldMu);
-      ++S.WorldLockAcquisitions;
-      C.Signals->handleFault(TS, O.NextPC, O.NextPC, false, SigILL);
-      continue;
-    }
-    case ir::JumpKind::SmcFail: {
-      std::lock_guard<std::mutex> World(WorldMu);
-      ++S.WorldLockAcquisitions;
-      ++C.Stats.SmcRetranslations;
-      for (auto [Lo, Hi] : T->Extents)
-        C.XS->invalidate(Lo, Hi - Lo);
-      continue;
-    }
-    case ir::JumpKind::SigSEGV: {
-      std::lock_guard<std::mutex> World(WorldMu);
-      ++S.WorldLockAcquisitions;
-      C.Signals->handleFault(TS, O.NextPC, O.NextPC, false, SigSEGV);
-      continue;
-    }
-    }
-  }
-}
-
-Translation *DispatchLoop::findOrTranslateMT(ShardCtx &S, uint32_t PC) {
-  // A block boundary under the lock is the natural place to try freeing
-  // limbo: every shard passes through here constantly.
-  if (!Limbo.empty())
-    reclaimLimbo();
-  if (S.FastCacheGen != C.TT.generation()) {
-    std::fill(S.FastCache.begin(), S.FastCache.end(), FastCacheEntry{});
-    S.FastCacheGen = C.TT.generation();
-  }
-  FastCacheEntry &E = S.FastCache[hashAddr(PC) & (FastCacheSize - 1)];
-  if (E.Addr == PC && E.T) {
-    ++C.Stats.FastCacheHits;
-    C.TT.countFastHit();
-    return E.T;
-  }
-  ++C.Stats.FastCacheMisses;
-  Translation *T = C.TT.lookup(PC);
-  if (!T)
-    T = C.XS->translateSync(PC, /*Hot=*/false);
-  if (S.FastCacheGen != C.TT.generation()) {
-    std::fill(S.FastCache.begin(), S.FastCache.end(), FastCacheEntry{});
-    S.FastCacheGen = C.TT.generation();
-  }
-  S.FastCache[hashAddr(PC) & (FastCacheSize - 1)] = FastCacheEntry{PC, T};
-  return T;
-}
-
-const hvm::CodeBlob *DispatchLoop::chainResolveThunkMT(void *User,
-                                                       void *Cookie,
-                                                       uint32_t Slot) {
-  // The lock-free twin of chainResolveThunk: same decisions, but all
-  // counter traffic goes to the shard (merged after join) and the bounce
-  // prefills the shard's private fast cache. No profiler attribution —
-  // that map is world-lock property.
-  auto *S = static_cast<ShardCtx *>(User);
-  Core *C = S->C;
-  auto *T = static_cast<Translation *>(Cookie);
-  if (T->Tier == 2 && Slot != T->Blob.TerminalChainSlot)
-    ++S->TraceSideExits;
-  Translation *Succ = Slot < T->Chain.size()
-                          ? T->Chain[Slot].load(std::memory_order_acquire)
-                          : nullptr;
-  if (!Succ)
-    return nullptr;
-  if (C->HotThreshold && Succ->Tier == 0 &&
-      Succ->ExecCount.load(std::memory_order_relaxed) + 1 >=
-          C->HotThreshold) {
-    if (S->FastCacheGen == C->TT.generation())
-      S->FastCache[hashAddr(Succ->Addr) & (FastCacheSize - 1)] =
-          FastCacheEntry{Succ->Addr, Succ};
-    return nullptr; // bounce: promotion decisions are made under the lock
-  }
-  if (C->TraceTier && Succ->Tier == 1) {
-    uint64_t E = Succ->ExecCount.load(std::memory_order_relaxed) + 1;
-    if (E >= C->effTraceThreshold() &&
-        E >= Succ->TraceRetryAt.load(std::memory_order_relaxed)) {
-      if (S->FastCacheGen == C->TT.generation())
-        S->FastCache[hashAddr(Succ->Addr) & (FastCacheSize - 1)] =
-            FastCacheEntry{Succ->Addr, Succ};
-      return nullptr; // bounce: trace formation too
-    }
-  }
-  Succ->ExecCount.fetch_add(1, std::memory_order_relaxed);
-  if (Slot < T->EdgeExecs.size())
-    T->EdgeExecs[Slot].fetch_add(1, std::memory_order_relaxed);
-  ++S->ChainedTransfers;
-  if (Succ->Tier == 2)
-    ++S->TraceExecs;
-  return &Succ->Blob;
 }
 
 void DispatchLoop::retireTranslation(std::unique_ptr<Translation> T) {
@@ -850,10 +616,6 @@ void DispatchLoop::threadSpawned(int Tid) {
 }
 
 void DispatchLoop::requestYield(int Tid) {
-  // Both flags: the serial scheduler tests YieldRequested (kept so its
-  // decisions are bit-for-bit what they always were), each shard tests its
-  // own thread's bit.
-  YieldRequested = true;
   if (Tid >= 0 && Tid < Core::MaxThreads)
     YieldFlags[Tid].store(true, std::memory_order_relaxed);
 }
@@ -886,8 +648,10 @@ uint32_t DispatchLoop::callGuest(ThreadState &TS, uint32_t Addr,
   }
   TS.setPCVal(Addr);
 
+  // The exclusive context: serially it is the scheduler's own; under
+  // shards the host replacement calling us holds the world lock.
   uint64_t Quantum = ~0ull >> 1;
-  dispatchLoop(TS, Quantum, ReturnSentinel);
+  dispatchQuantum(CoreCtx, TS, Quantum, ReturnSentinel);
   uint32_t Result = TS.gpr(0);
 
   for (unsigned I = 0; I != NumGPRs; ++I)

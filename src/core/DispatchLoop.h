@@ -1,28 +1,24 @@
 //===-- core/DispatchLoop.h - Dispatch and scheduling engine ----*- C++ -*-==//
 ///
 /// \file
-/// The dispatcher/scheduler engine (Sections 3.9 and 3.14), extracted from
-/// the Core monolith. It owns everything between "a thread is runnable"
-/// and "a translation's host code is executing":
+/// The dispatcher/scheduler engine (Sections 3.9 and 3.14). It owns
+/// everything between "a thread is runnable" and "a translation's host
+/// code is executing":
 ///
-///   - the serial scheduler (the big lock of Section 3.14: round-robin,
-///     100k-block quanta) and its dispatch loop;
-///   - the sharded scheduler (--sched-threads=N): shard contexts, the run
-///     queue, the world lock, and the QSBR epoch/limbo reclamation of
-///     retired translations;
-///   - the dispatcher fast caches (one global for the serial path, one per
-///     shard) and the lock-free chain-resolve thunks;
-///   - hot-tier promotion and trace-formation gating (the policy decisions;
-///     translation itself stays in the TranslationService);
-///   - call-into-guest (the mechanism replacement and wrapping functions
-///     use to run the code they replaced).
+///   - one dispatch loop (dispatchQuantum, with its fast-cache lookup and
+///     lock-free chain-resolve thunk), run on a dispatch context;
+///   - the two schedulers driving it: the serial round-robin picker (the
+///     big lock of Section 3.14) on the core's exclusive context, and the
+///     sharded run queue (--sched-threads=N) with one context per shard,
+///     a world lock, and QSBR epoch/limbo reclamation of retirements;
+///   - hot-tier promotion and trace-formation gating (translation itself
+///     stays in the TranslationService);
+///   - call-into-guest (replacement and wrapping functions run the code
+///     they replaced), also on the exclusive context.
 ///
-/// The lock-free paths — Exec.run, the chain thunks, the per-shard fast
-/// caches — are exactly the monolith's; the extraction moved them without
-/// changing a decision. Slow-path work (signals, client requests, faults,
-/// redirects) is delegated to the sibling engines; run-state flags
-/// (ProcessExited, FatalSignal) and configuration stay on Core, which this
-/// engine reaches through its back-reference.
+/// Slow-path work (signals, client requests, faults, redirects) is
+/// delegated to the sibling engines; run-state flags and configuration
+/// stay on Core, reached through the back-reference.
 ///
 //===----------------------------------------------------------------------===//
 #ifndef VG_CORE_DISPATCHLOOP_H
@@ -37,17 +33,16 @@ namespace vg {
 
 class DispatchLoop {
 public:
-  explicit DispatchLoop(Core &C) : C(C), FastCache(FastCacheSize) {}
+  explicit DispatchLoop(Core &C) : C(C) {
+    CoreCtx.D = this;
+    CoreCtx.Exclusive = true;
+    CoreCtx.FastCache.resize(FastCacheSize);
+  }
 
   /// Runs the client to completion (or until \p MaxBlocks translations
   /// have been dispatched): the serial scheduler, or the sharded one when
   /// --sched-threads > 1. Ends in Core::finishRun.
   CoreExit run(uint64_t MaxBlocks);
-
-  /// Dispatches blocks for \p TS until the quantum is spent, the process
-  /// exits, a fatal signal lands, the thread stops being runnable, or the
-  /// PC reaches \p StopPC (callGuest's sentinel).
-  void dispatchLoop(ThreadState &TS, uint64_t &Quantum, uint32_t StopPC);
 
   /// Calls back into guest code from host context (replacement/wrapping).
   /// Returns the callee's r0.
@@ -66,12 +61,12 @@ public:
   /// serial scheduler's round-robin scan finds it by polling instead).
   void threadSpawned(int Tid);
 
-  /// Yield request: the serial scheduler's flag plus the thread's own bit.
+  /// Yield request: ends the quantum of thread \p Tid.
   void requestYield(int Tid);
 
-  /// Trace install hook: counts the trace and surgically repairs the
-  /// serial fast cache's line when only the replaced head died.
-  void traceInstalled(Translation *T, uint64_t GenBefore);
+  /// The dispatched-block clock: every block any context executes,
+  /// callGuest's included. Budget accounting and trace timestamps.
+  const std::atomic<uint64_t> &blockClock() const { return BlockClock; }
 
   /// The --profile report (reads the dispatch/scheduler counters this
   /// engine owns alongside Core's stats).
@@ -84,15 +79,17 @@ private:
   };
   static constexpr size_t FastCacheSize = 1u << 13; // direct-mapped
 
-  //===--- sharded scheduler (--sched-threads=N, DESIGN section 14) -------===//
-  /// One shard: a host thread that pops runnable guest threads from the run
-  /// queue and executes them. Everything a shard touches without the world
-  /// lock lives here — its own dispatcher fast cache, its own counters for
-  /// the lock-free chain path, and its QSBR epoch announcement.
+  /// One dispatch context: the core's exclusive one, or a shard's (a host
+  /// thread popping runnable guest threads off the run queue). Everything
+  /// the chain thunk touches lives here.
   struct ShardCtx {
-    Core *C = nullptr;
     DispatchLoop *D = nullptr;
-    unsigned Index = 0;
+    /// The core's own context, run by the serial scheduler and callGuest.
+    /// It has the world to itself (serially, or inside a host replacement
+    /// whose shard holds WorldMu), so it takes no lock and is the only
+    /// context whose chain thunk may touch the profiler. Nothing else in
+    /// the loop depends on the kind of context.
+    bool Exclusive = false;
     /// The shard's snapshot of GlobalEpoch at its last quiescent point
     /// (a moment it provably held no translation pointers); ~0 while
     /// parked in the run queue. reclaimLimbo() frees a retired
@@ -101,29 +98,50 @@ private:
     std::atomic<uint64_t> LocalEpoch{~0ull};
     std::vector<FastCacheEntry> FastCache; ///< private, never shared
     uint64_t FastCacheGen = 0;
-    /// Counters bumped on the lock-free paths; merged into Core::Stats
-    /// after the shards join.
+    uint64_t Unclocked = 0; ///< blocks not yet added to BlockClock
+    /// Dispatch counters, folded into Core::Stats when the run ends.
+    uint64_t FastCacheHits = 0;
+    uint64_t FastCacheMisses = 0;
     uint64_t ChainedTransfers = 0;
     uint64_t TraceExecs = 0;
     uint64_t TraceSideExits = 0;
-    // Profile counters.
+    // Sharded-scheduler profile counters.
     uint64_t Quanta = 0;                ///< run-queue pops that ran a quantum
     uint64_t WorldLockAcquisitions = 0; ///< block-boundary lock round-trips
   };
 
-  /// run() when SchedThreads > 1: spawns the shards, lets them race, joins
-  /// them, merges their stats, and finishes exactly like the serial path.
-  CoreExit runParallel(uint64_t MaxBlocks);
-  void shardMain(ShardCtx &S);
-  /// One scheduling quantum of \p TS on shard \p S: the MT twin of
-  /// dispatchLoop. Block-boundary work (translate, chain, promote, signals,
-  /// syscalls) runs under WorldMu; Exec.run and the chain thunk run
+  /// Dispatches blocks for \p TS on context \p S until the quantum is
+  /// spent, the process exits, a fatal signal lands, the thread stops being
+  /// runnable or yields, or the PC reaches \p StopPC (callGuest's
+  /// sentinel). Block-boundary work (translate, chain, promote, signals,
+  /// syscalls) runs under the world lock; Exec.run and the chain thunk run
   /// lock-free.
-  void dispatchLoopMT(ShardCtx &S, ThreadState &TS);
-  /// findOrTranslate against the shard's private fast cache. WorldMu held.
-  Translation *findOrTranslateMT(ShardCtx &S, uint32_t PC);
-  static const hvm::CodeBlob *chainResolveThunkMT(void *User, void *Cookie,
-                                                  uint32_t Slot);
+  void dispatchQuantum(ShardCtx &S, ThreadState &TS, uint64_t &Quantum,
+                       uint32_t StopPC);
+  /// The world lock for \p S: WorldMu for a shard, nothing for the
+  /// exclusive context. Also advances the block clock by \p S's blocks.
+  std::unique_lock<std::mutex> lockWorld(ShardCtx &S);
+  /// Translation lookup through \p S's fast cache. World lock held.
+  Translation *findOrTranslate(ShardCtx &S, uint32_t PC);
+  /// After an install that replaced the block at \p PC with \p T:
+  /// repairs \p S's line surgically when only the replaced translation died
+  /// (any bigger generation jump lets the generation check wipe the cache
+  /// on the next lookup).
+  void repairFastCache(ShardCtx &S, uint32_t PC, Translation *T,
+                       uint64_t GenBefore);
+  static const hvm::CodeBlob *chainResolveThunk(void *User, void *Cookie,
+                                                uint32_t Slot);
+  /// Blocks left in this quantum: ThreadQuantum, capped by the budget.
+  uint64_t quantumLeft() const;
+  /// Adds \p S's dispatch counters into Core::Stats and zeroes them.
+  void foldCounters(ShardCtx &S);
+
+  /// The round-robin scheduler: one guest thread at a time on CoreCtx.
+  void runSerial();
+  /// run() when SchedThreads > 1: spawns the shards, lets them race, and
+  /// joins them.
+  void runParallel();
+  void shardMain(ShardCtx &S);
   /// TransTab retire hook while parallel: dead translations park in Limbo
   /// with an epoch stamp instead of being freed (a shard may still be
   /// executing their code). WorldMu held by all callers.
@@ -131,11 +149,6 @@ private:
   /// Frees limbo entries every shard has quiesced past. WorldMu held.
   void reclaimLimbo();
 
-  Translation *findOrTranslate(uint32_t PC);
-  /// Hot-tier promotion: retranslate \p PC as a superblock, stalling the
-  /// guest. Replaces the old translation (predecessor chain slots relink
-  /// eagerly via TransTab).
-  Translation *promoteHot(uint32_t PC);
   /// Walks the chain graph from \p Head picking the dominant successor at
   /// each step. Returns a spec with fewer than 2 entries when no biased
   /// path exists (caller backs off via TraceRetryAt).
@@ -144,15 +157,19 @@ private:
   /// top of the dispatch loop.
   void injectBoundaryFaults(ThreadState &TS);
 
-  static const hvm::CodeBlob *chainResolveThunk(void *User, void *Cookie,
-                                                uint32_t Slot);
-
   Core &C;
 
-  bool YieldRequested = false;
+  /// The exclusive context: the serial scheduler's and callGuest's.
+  ShardCtx CoreCtx;
 
-  // Sharded-scheduler state (inert at --sched-threads=1: RunQ stays null
-  // and nothing else is touched).
+  /// See blockClock().
+  std::atomic<uint64_t> BlockClock{0};
+  uint64_t MaxBlocks = ~0ull; ///< run()'s block budget
+  /// Per-guest-thread yield requests, cleared when a quantum starts.
+  std::array<std::atomic<bool>, Core::MaxThreads> YieldFlags{};
+
+  // Sharded-scheduler state (inert at --sched-threads=1: RunQ stays null,
+  // WorldMu is never taken and Limbo stays empty).
   std::mutex WorldMu;             ///< the MT big lock: every slow path
   std::unique_ptr<RunQueue> RunQ; ///< non-null only while runParallel runs
   std::vector<std::unique_ptr<ShardCtx>> Shards;
@@ -162,18 +179,8 @@ private:
   std::vector<std::pair<uint64_t, std::unique_ptr<Translation>>> Limbo;
   uint64_t TranslationsRetired = 0;
   uint64_t LimboHighWater = 0;
-  /// MT dispatched-block clock: budget accounting and trace timestamps.
-  std::atomic<uint64_t> GlobalBlockClock{0};
-  uint64_t MaxBlocksMT = ~0ull;
-  /// Per-guest-thread yield requests. The serial scheduler keeps using the
-  /// single YieldRequested flag (same decisions as ever); shards each honor
-  /// their own bit.
-  std::array<std::atomic<bool>, Core::MaxThreads> YieldFlags{};
   /// Run-queue counters saved before RunQ is destroyed (profile output).
   uint64_t RunQPushes = 0, RunQPops = 0, RunQWaits = 0;
-
-  std::vector<FastCacheEntry> FastCache; ///< serial dispatcher's cache
-  uint64_t FastCacheGen = 0;
 
   /// Sentinel return address used by callGuest.
   static constexpr uint32_t ReturnSentinel = 0xFFFF0000;

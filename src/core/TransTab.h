@@ -23,7 +23,7 @@
 /// back-edge vectors) is only ever mutated by a thread holding the core's
 /// world lock; the per-translation execution profile (ExecCount, EdgeExecs),
 /// the chain slots themselves, and the generation/flush-epoch counters are
-/// atomics so that shard dispatch loops and the chain thunk may read them —
+/// atomics so that the dispatch loop and the chain thunk may read them —
 /// and bump the profile — without any lock. Chain installs are release
 /// stores; unchaining happens under the world lock and the freed
 /// translation is handed to the retire hook (when set) instead of being
@@ -71,7 +71,7 @@ struct Translation {
   /// reaches this (backoff after an unbiased chain graph or a failed
   /// stitch). 0 = eligible immediately once over the trace threshold.
   /// Relaxed-atomic: written under the world lock (backoff), read by the
-  /// lock-free trace gate in every shard's dispatch loop.
+  /// lock-free trace gate in the chain thunk.
   std::atomic<uint64_t> TraceRetryAt{0};
   /// The blob is position-independent (no SMC-check prelude, which embeds
   /// this Translation's own address as an immediate), so it may be served

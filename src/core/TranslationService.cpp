@@ -228,9 +228,7 @@ Translation *TranslationService::translateTrace(const TraceSpec &Spec) {
   Host.noteTranslation(PC, *Raw, now() - T0);
   JS.TraceDeadFlagPuts += TS.DeadFlagPuts;
   JS.TraceProbesCSEd += TS.ProbesCSEd;
-  uint64_t GenBefore = TT.generation();
   Translation *Res = TT.insert(std::move(TPtr));
   ++JS.TraceInstalled;
-  Host.traceInstalled(Res, GenBefore);
   return Res;
 }

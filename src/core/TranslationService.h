@@ -61,11 +61,6 @@ public:
   /// Accounting for one installed translation (fresh or cache-served).
   virtual void noteTranslation(uint32_t PC, const Translation &T,
                                double Seconds) = 0;
-
-  /// A trace was just published over its tier-1 head. \p GenBefore is the
-  /// TT generation sampled immediately before the insert (the host repairs
-  /// its fast cache the same way the promotion path does).
-  virtual void traceInstalled(Translation *T, uint64_t GenBefore) = 0;
 };
 
 /// The tiered translation service. One instance per Core; owns the

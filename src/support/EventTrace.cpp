@@ -72,12 +72,9 @@ EventTracer::EventTracer(size_t Capacity) {
 
 void EventTracer::record(int Tid, TraceEvent E, uint32_t A, uint32_t B,
                          uint32_t C) {
-  std::unique_lock<std::mutex> L(Mu, std::defer_lock);
-  if (ThreadSafe)
-    L.lock();
+  std::lock_guard<std::mutex> L(Mu);
   Record &R = Ring[Recorded % Ring.size()];
-  R.Block = AtomicClock ? AtomicClock->load(std::memory_order_relaxed)
-                        : (Clock ? *Clock : 0);
+  R.Block = Clock ? Clock->load(std::memory_order_relaxed) : 0;
   R.Tid = Tid;
   R.E = E;
   R.A = A;

@@ -75,25 +75,17 @@ enum SigDropReason : uint32_t {
 };
 
 /// The fixed-capacity event recorder. All state is deterministic: the
-/// timestamp source is an external uint64 counter (the core's dispatched
-/// block count) read at record() time.
+/// timestamp source is an external counter (the core's dispatched-block
+/// clock) read at record() time.
 class EventTracer {
 public:
   explicit EventTracer(size_t Capacity);
 
-  /// Points the tracer at the block counter used for timestamps. Records
-  /// made before this is called carry timestamp 0.
-  void setClock(const uint64_t *Counter) { Clock = Counter; }
-
-  /// Sharded-scheduler mode: timestamps come from the core's global atomic
-  /// block clock (the per-shard plain counters would race), and record()
-  /// serialises internally so shards can trace concurrently. Timestamps
-  /// are then only approximately ordered — MT traces are diagnostic, the
-  /// byte-identical replay property belongs to --sched-threads=1.
-  void setAtomicClock(const std::atomic<uint64_t> *Counter) {
-    AtomicClock = Counter;
-    ThreadSafe = true;
-  }
+  /// Points the tracer at the core's block clock for timestamps (records
+  /// made before carry 0). record() serialises internally so shards can
+  /// trace concurrently; their timestamps are then only approximately
+  /// ordered — byte-identical replay belongs to --sched-threads=1.
+  void setClock(const std::atomic<uint64_t> *Counter) { Clock = Counter; }
 
   void record(int Tid, TraceEvent E, uint32_t A = 0, uint32_t B = 0,
               uint32_t C = 0);
@@ -125,10 +117,8 @@ private:
     uint32_t A, B, C;
   };
 
-  const uint64_t *Clock = nullptr;
-  const std::atomic<uint64_t> *AtomicClock = nullptr;
-  bool ThreadSafe = false;
-  std::mutex Mu; ///< guards Ring/Recorded/Counts when ThreadSafe
+  const std::atomic<uint64_t> *Clock = nullptr;
+  std::mutex Mu; ///< guards Ring/Recorded/Counts
   std::vector<Record> Ring;
   uint64_t Recorded = 0; ///< total record() calls; ring keeps the tail
   uint64_t Counts[NumTraceEvents] = {};

@@ -237,7 +237,6 @@ TEST(Wrap, PreOriginalPostOrderWithResultRewrite) {
     Code.addi(Reg::R0, Reg::R1, 100); // original: arg + 100
     Code.ret();
   });
-  Nulgrind T;
   std::vector<std::string> Order;
   uint32_t PreArg = 0, PostResult = 0;
   WrapHooks H;
@@ -250,14 +249,24 @@ TEST(Wrap, PreOriginalPostOrderWithResultRewrite) {
     PostResult = Result; // the original's untouched result
     Result += 1000;      // rewrite what the caller sees
   };
-  RunReport R = runUnderCoreWith(Img, &T, {}, "", ~0ull, [&](Core &C) {
-    C.wrapSymbolFunction("victim", H);
-  });
-  ASSERT_TRUE(R.Completed);
-  ASSERT_EQ(Order, (std::vector<std::string>{"pre", "post"}));
-  EXPECT_EQ(PreArg, 5u);
-  EXPECT_EQ(PostResult, 105u); // the original really ran between the hooks
-  EXPECT_EQ(R.ExitCode, 1105); // and the caller saw the rewritten result
+  // The same run under the serial scheduler and under two shards: the
+  // original's blocks, run through callGuest, count towards
+  // BlocksDispatched either way.
+  std::vector<uint64_t> Blocks;
+  for (const char *Sched : {"--sched-threads=1", "--sched-threads=2"}) {
+    Order.clear();
+    Nulgrind T;
+    RunReport R = runUnderCoreWith(Img, &T, {Sched}, "", ~0ull, [&](Core &C) {
+      C.wrapSymbolFunction("victim", H);
+    });
+    ASSERT_TRUE(R.Completed) << Sched;
+    ASSERT_EQ(Order, (std::vector<std::string>{"pre", "post"})) << Sched;
+    EXPECT_EQ(PreArg, 5u);
+    EXPECT_EQ(PostResult, 105u); // the original really ran between the hooks
+    EXPECT_EQ(R.ExitCode, 1105); // and the caller saw the rewritten result
+    Blocks.push_back(R.Stats.BlocksDispatched);
+  }
+  EXPECT_EQ(Blocks[1], Blocks[0]);
 }
 
 TEST(Wrap, WrapFunctionByAddressFiresOnEveryCall) {

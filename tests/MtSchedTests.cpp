@@ -181,6 +181,68 @@ TEST(MtSched, SchedThreadsOneIsByteIdenticalToDefault) {
   EXPECT_EQ(TraceOne, TraceDefault);
 }
 
+/// The value of "Key=N" on the first --profile line of \p Output that
+/// starts with \p Line (several lines share keys such as "hits").
+uint64_t profileCounter(const std::string &Output, const std::string &Line,
+                        const std::string &Key) {
+  size_t Pos = Output.find("\n" + Line);
+  EXPECT_NE(Pos, std::string::npos) << "no profile line '" << Line << "'";
+  if (Pos == std::string::npos)
+    return 0;
+  size_t End = Output.find('\n', Pos + 1);
+  std::string Text = Output.substr(Pos, End - Pos);
+  size_t K = Text.find(" " + Key + "=");
+  if (K == std::string::npos)
+    K = Text.find("\n" + Key + "=");
+  EXPECT_NE(K, std::string::npos) << "no '" << Key << "' in '" << Text << "'";
+  if (K == std::string::npos)
+    return 0;
+  return std::stoull(Text.substr(K + Key.size() + 2));
+}
+
+// Every accounting identity the --profile report prints, under both tools,
+// with the tiers off and on, serially and across four shards (whose
+// dispatch counters are folded in when the run ends), on the 4-thread CPU
+// workload and on a Table 2 program:
+//   fast-cache hits + misses == table lookups == blocks - chained
+//   side-exits <= trace-execs
+TEST(MtSched, ProfileAccountingIdentitiesHold) {
+  const std::vector<std::string> Tiers = {"--chaining=yes",
+                                          "--hot-threshold=50",
+                                          "--trace-tier=yes"};
+  for (const char *Name : {"mtcpu", "swim"}) {
+    GuestImage Img = buildWorkload(Name, 2);
+    for (bool Memcheck : {false, true})
+      for (bool Tiered : {false, true})
+        for (const char *Sched : {"--sched-threads=1", "--sched-threads=4"}) {
+          std::vector<std::string> Opts = {"--profile=yes", Sched};
+          if (Tiered)
+            Opts.insert(Opts.end(), Tiers.begin(), Tiers.end());
+          RunReport R = Memcheck ? runMc(Img, Opts) : runNul(Img, Opts);
+          SCOPED_TRACE(std::string(Name) + (Memcheck ? " memcheck " : " nulgrind ") +
+                       (Tiered ? "tiered " : "") + Sched);
+          expectClean(R);
+          const std::string &Out = R.ToolOutput;
+          uint64_t Blocks = profileCounter(Out, "blocks=", "blocks");
+          uint64_t Chained = profileCounter(Out, "blocks=", "chained");
+          uint64_t Hits = profileCounter(Out, "fast-cache ", "hits");
+          uint64_t Misses = profileCounter(Out, "fast-cache ", "misses");
+          uint64_t Lookups = profileCounter(Out, "table ", "lookups");
+          EXPECT_GT(Blocks, 0u);
+          EXPECT_EQ(Blocks, R.Stats.BlocksDispatched);
+          EXPECT_EQ(Hits + Misses, Lookups);
+          EXPECT_EQ(Lookups, Blocks - Chained);
+          EXPECT_EQ(Chained > 0, Tiered);
+          if (Tiered) {
+            uint64_t Execs = profileCounter(Out, "trace-execs=", "trace-execs");
+            uint64_t SideExits =
+                profileCounter(Out, "trace-execs=", "side-exits");
+            EXPECT_LE(SideExits, Execs);
+          }
+        }
+  }
+}
+
 // Pin Translation::EdgeExecs as an atomic: four threads hammer the same
 // slots the way four shards' chain thunks do. TSan validates the absence
 // of a data race; the count validates no lost increments.

@@ -252,7 +252,7 @@ TEST(FaultPlan, DisabledKindNeverFiresOrAdvances) {
 
 TEST(EventTracer, RecordsAndCounts) {
   EventTracer T(16);
-  uint64_t Clock = 7;
+  std::atomic<uint64_t> Clock{7};
   T.setClock(&Clock);
   T.record(0, TraceEvent::SyscallEnter, 2);
   Clock = 9;

@@ -86,7 +86,6 @@ constexpr uint32_t CodeBase = 0x1000;
 /// this for all blocks without an SMC prelude).
 struct CacheStubHost : TranslationHost {
   unsigned Notes = 0;
-  unsigned Installs = 0;
   void setupTranslation(TranslationOptions &, uint32_t, bool,
                         Translation *Raw) override {
     Raw->Cacheable = true;
@@ -94,7 +93,6 @@ struct CacheStubHost : TranslationHost {
   void noteTranslation(uint32_t, const Translation &, double) override {
     ++Notes;
   }
-  void traceInstalled(Translation *, uint64_t) override { ++Installs; }
 };
 
 /// A bank of tiny blocks plus a service with a cache attached to \p Dir.

@@ -41,8 +41,6 @@ constexpr uint32_t CodeBase = 0x1000;
 struct StubHost : TranslationHost {
   bool MarkCacheable = false; ///< mimic the Core's no-SMC-prelude decision
   unsigned Notes = 0;
-  unsigned Installs = 0;
-  Translation *LastInstalled = nullptr;
 
   void setupTranslation(TranslationOptions &, uint32_t, bool,
                         Translation *Raw) override {
@@ -50,10 +48,6 @@ struct StubHost : TranslationHost {
   }
   void noteTranslation(uint32_t, const Translation &, double) override {
     ++Notes;
-  }
-  void traceInstalled(Translation *T, uint64_t) override {
-    ++Installs;
-    LastInstalled = T;
   }
 };
 
@@ -99,7 +93,7 @@ TEST(TranslationService, SyncTranslateInsertsAndAccounts) {
   EXPECT_EQ(F.XS.transTab().find(F.Blocks[0]), T2);
   EXPECT_EQ(T2->Tier, 1u);
   EXPECT_EQ(F.Host.Notes, 2u);
-  EXPECT_EQ(F.Host.Installs, 0u); // the trace hook is for traces only
+  EXPECT_EQ(F.XS.jitStats().TraceInstalled, 0u); // traces only
 }
 
 //===----------------------------------------------------------------------===//
@@ -238,7 +232,7 @@ struct TraceFixture {
 };
 
 // translateTrace installs the stitched trace over the head immediately,
-// tells the host, and leaves the tail constituent resident for side exits.
+// counts it, and leaves the tail constituent resident for side exits.
 TEST(TranslationService, SyncTranslateTraceInstallsImmediately) {
   TraceFixture F;
   F.XS.translateSync(F.A, /*Hot=*/true);
@@ -248,8 +242,6 @@ TEST(TranslationService, SyncTranslateTraceInstallsImmediately) {
   EXPECT_EQ(Tr->Tier, 2u);
   EXPECT_EQ(Tr->TraceEntries, (std::vector<uint32_t>{F.A, F.B}));
   EXPECT_EQ(F.XS.transTab().find(F.A), Tr);
-  EXPECT_EQ(F.Host.Installs, 1u);
-  EXPECT_EQ(F.Host.LastInstalled, Tr);
   ASSERT_NE(F.XS.transTab().find(F.B), nullptr);
   EXPECT_EQ(F.XS.transTab().find(F.B)->Tier, 1u);
   EXPECT_EQ(F.XS.jitStats().TraceRequests, 1u);
@@ -333,8 +325,8 @@ TEST(TranslationService, TieredRunIsDeterministic) {
 
 // Every trace entry the dispatcher counts must include the entry that
 // first runs a freshly formed trace: a side exit is an exit *from* a trace
-// execution, so side exits can never outnumber executions. Checked on the
-// serial and the sharded dispatch loop, on two of the workloads whose
+// execution, so side exits can never outnumber executions. Checked under the
+// serial and the sharded scheduler, on two of the workloads whose
 // traces side-exit most.
 TEST(TranslationService, TraceSideExitsNeverExceedTraceExecs) {
   for (const char *Name : {"swim", "applu"}) {
