@@ -40,8 +40,7 @@ Sample runOnce(const GuestImage &Img, unsigned SchedThreads) {
   Nulgrind T;
   char Opt[48];
   std::snprintf(Opt, sizeof Opt, "--sched-threads=%u", SchedThreads);
-  RunReport R = runUnderCore(
-      Img, &T, {Opt, "--chaining=yes", "--hot-threshold=64"});
+  RunReport R = runUnderCore(Img, &T, {Opt, "--chaining=yes"});
   Sample S;
   S.Ok = R.Completed && !R.FatalSignal && R.ExitCode == 0;
   S.Seconds = R.Seconds;

@@ -55,8 +55,7 @@ std::vector<std::string> soakOptions(uint64_t Seed) {
   char Spec[64];
   std::snprintf(Spec, sizeof Spec, "--fault-inject=all,seed=%llu",
                 static_cast<unsigned long long>(Seed));
-  return {Spec, "--trace-events=yes", "--trace-dump=yes", "--chaining=yes",
-          "--hot-threshold=64"};
+  return {Spec, "--trace-events=yes", "--trace-dump=yes", "--chaining=yes"};
 }
 
 int Failures = 0;

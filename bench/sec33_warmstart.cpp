@@ -86,8 +86,7 @@ int main() {
       std::filesystem::path Dir =
           CacheRoot / (std::string(Name) + "-" + std::to_string(Rep));
       std::vector<std::string> Opts = {
-          "--smc-check=none", "--chaining=yes", "--hot-threshold=2",
-          "--tt-cache=" + Dir.string()};
+          "--smc-check=none", "--chaining=yes", "--tt-cache=" + Dir.string()};
       Nulgrind T1, T2;
       RunReport Cold = runUnderCore(Img, &T1, Opts);
       RunReport Warm = runUnderCore(Img, &T2, Opts);

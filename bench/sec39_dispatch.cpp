@@ -64,14 +64,14 @@ int main() {
               "cheap — the paper's argument for why missing chaining "
               "hurt Valgrind less than Strata.)\n\n");
 
-  // The two-tier hot path: eager chain linking means slots fill at insert
-  // time instead of through dispatcher round-trips, and --hot-threshold
-  // retranslates proven-hot blocks as branch-chasing superblocks.
+  // The tiered hot path: eager chain linking means slots fill at insert
+  // time instead of through dispatcher round-trips, and --trace-tier
+  // stitches the biased paths of proven-hot blocks into traces.
   std::printf("== Section 3.9: dispatcher exits — seed vs chained vs "
-              "chained+hot ==\n");
+              "chained+traces ==\n");
   std::printf("%-10s %12s %12s %12s %12s %12s %12s %6s\n", "workload",
-              "exits(seed)", "exits(chain)", "exits(hot)", "chained(hot)",
-              "fcmiss(seed)", "fcmiss(hot)", "promo");
+              "exits(seed)", "exits(chain)", "exits(trace)", "chain(trace)",
+              "fcmiss(seed)", "fcmiss(tr)", "traces");
   for (const char *Name : {"crafty", "mcf", "gcc"}) {
     GuestImage Img = buildWorkload(Name, 1);
     Nulgrind T1, T2, T3;
@@ -79,35 +79,35 @@ int main() {
                                              "--chaining=no"});
     RunReport Chain = runUnderCore(Img, &T2, {"--smc-check=none",
                                               "--chaining=yes"});
-    RunReport Hot = runUnderCore(Img, &T3,
+    RunReport Traced = runUnderCore(Img, &T3,
                                  {"--smc-check=none", "--chaining=yes",
-                                  "--hot-threshold=50"});
+                                  "--hot-threshold=50", "--trace-tier=yes"});
     auto Exits = [](const RunReport &R) {
       return R.Stats.BlocksDispatched - R.Stats.ChainedTransfers;
     };
     std::printf("%-10s %12llu %12llu %12llu %12llu %12llu %12llu %6llu\n",
                 Name, static_cast<unsigned long long>(Exits(Seed)),
                 static_cast<unsigned long long>(Exits(Chain)),
-                static_cast<unsigned long long>(Exits(Hot)),
-                static_cast<unsigned long long>(Hot.Stats.ChainedTransfers),
+                static_cast<unsigned long long>(Exits(Traced)),
+                static_cast<unsigned long long>(Traced.Stats.ChainedTransfers),
                 static_cast<unsigned long long>(Seed.Stats.FastCacheMisses),
-                static_cast<unsigned long long>(Hot.Stats.FastCacheMisses),
-                static_cast<unsigned long long>(Hot.Stats.HotPromotions));
+                static_cast<unsigned long long>(Traced.Stats.FastCacheMisses),
+                static_cast<unsigned long long>(Traced.Stats.TracesFormed));
   }
   std::printf("(expected: both chained columns keep exits orders of "
-              "magnitude below the unchained seed;\n hot promotion pays "
-              "one dispatcher bounce per promoted block and re-forms the "
-              "loop as a\n branch-chased superblock — with the chain graph "
-              "relinking predecessors eagerly.)\n\n");
+              "magnitude below the unchained seed;\n a trace head pays "
+              "one dispatcher bounce when it forms, and the chain graph "
+              "relinks\n its predecessors to the trace eagerly.)\n\n");
 
-  std::printf("== --profile: the observability layer (mcf, chained+hot) "
+  std::printf("== --profile: the observability layer (mcf, chained+traces) "
               "==\n");
   {
     GuestImage Img = buildWorkload("mcf", 1);
     Nulgrind T;
     RunReport R = runUnderCore(Img, &T,
                                {"--smc-check=none", "--chaining=yes",
-                                "--hot-threshold=50", "--profile=yes"});
+                                "--hot-threshold=50", "--trace-tier=yes",
+                                "--profile=yes"});
     std::fputs(R.ToolOutput.c_str(), stdout);
     std::printf("\n");
   }
@@ -161,7 +161,7 @@ int main() {
   // it; chained blocks transfer without consulting the cache at all, and
   // when churn does evict a chained block its predecessors are unlinked in
   // O(degree) and relinked eagerly at retranslation.
-  std::printf("\n== Section 3.8+3.9: chaining + hotness under eviction "
+  std::printf("\n== Section 3.8+3.9: chaining + traces under eviction "
               "pressure ==\n");
   {
     using namespace vg::vg1;
@@ -243,24 +243,24 @@ int main() {
 
     Nulgrind T1, T2;
     RunReport Seed = runUnderCore(Img, &T1, {"--smc-check=none"});
-    RunReport Hot = runUnderCore(Img, &T2,
+    RunReport Traced = runUnderCore(Img, &T2,
                                  {"--smc-check=none", "--chaining=yes",
-                                  "--hot-threshold=50"});
+                                  "--hot-threshold=50", "--trace-tier=yes"});
     auto Line = [](const char *Name, const RunReport &R) {
-      std::printf("%-10s exits=%-8llu fcmiss=%-8llu chained=%-8llu "
-                  "promos=%-4llu evict-runs=%llu evicted=%llu\n", Name,
+      std::printf("%-12s exits=%-8llu fcmiss=%-8llu chained=%-8llu "
+                  "traces=%-4llu evict-runs=%llu evicted=%llu\n", Name,
                   static_cast<unsigned long long>(R.Stats.BlocksDispatched -
                                                   R.Stats.ChainedTransfers),
                   static_cast<unsigned long long>(R.Stats.FastCacheMisses),
                   static_cast<unsigned long long>(R.Stats.ChainedTransfers),
-                  static_cast<unsigned long long>(R.Stats.HotPromotions),
+                  static_cast<unsigned long long>(R.Stats.TracesFormed),
                   static_cast<unsigned long long>(R.TTStats.EvictionRuns),
                   static_cast<unsigned long long>(R.TTStats.Evicted));
     };
     Line("seed", Seed);
-    Line("chain+hot", Hot);
+    Line("chain+traces", Traced);
     std::printf("(expected: strictly fewer dispatcher exits and strictly "
-                "fewer fast-cache misses with\n chaining+hotness on — after "
+                "fewer fast-cache misses with\n chaining+traces on — after "
                 "each storm's eviction runs clear the fast cache, the seed\n"
                 " re-misses every live sea block, while chained transfers "
                 "never consult the cache.)\n");

@@ -5,11 +5,10 @@
 /// factors of four tools — Nulgrind (no instrumentation), ICntI (inline
 /// instruction counter), ICntC (C-call instruction counter), and Memcheck —
 /// relative to native execution, on the SPEC-like workload suite, with
-/// per-column geometric means. A fifth column runs Nulgrind with the
-/// dispatcher hot path on (--chaining=yes --hot-threshold=50) to show the
-/// two-tier JIT's effect on the headline slow-down, and two more run
-/// Nulgrind and Memcheck with the trace tier stacked on top of that
-/// (--trace-tier=yes) to show the third tier's effect.
+/// per-column geometric means. A fifth column runs Nulgrind with chaining
+/// on (--chaining=yes) to show its effect on the headline slow-down, and
+/// two more run Nulgrind and Memcheck with the trace tier stacked on top of
+/// that (--hot-threshold=50 --trace-tier=yes) to show the second tier's.
 ///
 /// "Native" is the reference interpreter (see DESIGN.md: the substitution
 /// for direct hardware execution). Expected shape, as in the paper:
@@ -44,7 +43,7 @@ uint32_t benchScale() {
 struct Row {
   std::string Name;
   double NativeSec = 0;
-  // nulgrind, icnt-i, icnt-c, memcheck, nulgrind+chaining+hotness,
+  // nulgrind, icnt-i, icnt-c, memcheck, nulgrind+chaining,
   // nulgrind+traces, memcheck+traces
   double Factor[7] = {0, 0, 0, 0, 0, 0, 0};
 };
@@ -56,7 +55,7 @@ int main() {
   std::printf("== Table 2: tool slow-down factors vs native (scale %u) ==\n",
               Scale);
   std::printf("%-10s %10s %9s %9s %9s %9s %9s %9s %9s\n", "Program",
-              "Nat.(s)", "Nulg.", "ICntI", "ICntC", "Memc.", "Nulg.+h",
+              "Nat.(s)", "Nulg.", "ICntI", "ICntC", "Memc.", "Nulg.+c",
               "Nulg.+t", "Memc.+t");
 
   std::vector<Row> Rows;
@@ -101,7 +100,6 @@ int main() {
       case 4:
         Tool = std::make_unique<Nulgrind>();
         Opts.push_back("--chaining=yes");
-        Opts.push_back("--hot-threshold=50");
         break;
       case 5:
         Tool = std::make_unique<Nulgrind>();
@@ -159,7 +157,7 @@ int main() {
   {
     static const char *ToolNames[7] = {"nulgrind",     "icnt_inline",
                                        "icnt_ccall",   "memcheck",
-                                       "nulgrind_hot", "nulgrind_traces",
+                                       "nulgrind_chain", "nulgrind_traces",
                                        "memcheck_traces"};
     std::ofstream F("BENCH_table2.json");
     F << "{\n  \"bench\": \"table2_slowdown\",\n  \"scale\": " << Scale

@@ -56,7 +56,7 @@ sec39_dispatch() (
 trace_tier() (
   set -e
   TF=$(./build/examples/vgrun --tool=nulgrind --chaining=yes \
-      --hot-threshold=50 --trace-tier=yes --profile=yes vortex 2>&1 \
+      --trace-tier=yes --profile=yes vortex 2>&1 \
       | sed -n 's/.*traces-formed=\([0-9]*\).*/\1/p')
   [ "${TF:-0}" -gt 0 ] || {
     echo "trace smoke: expected traces-formed > 0, got '${TF:-none}'" >&2
@@ -144,9 +144,10 @@ tsan() (
   ctest --preset tsan
 )
 
-# The translation pipeline's unit, golden and JIT tests (the `pipeline`
-# label: its dense tables are indexed by tmp, vreg and guest-state byte
-# offset) and the dispatch loop with both schedulers (the `dispatch`
+# The translation pipeline's unit, golden, JIT and persistent-cache tests
+# (the `pipeline` label: its dense tables are indexed by tmp, vreg and
+# guest-state byte offset, and the cache decodes bytes read from disk) and
+# the dispatch loop with both schedulers (the `dispatch`
 # label: the QSBR limbo list frees translations a shard may still hold),
 # via the asan preset: any out-of-bounds index, use-after-free or
 # undefined behaviour fails the step.
@@ -156,7 +157,7 @@ asan() (
   cmake --build --preset asan -j \
       --target test_ir --target test_hvm --target test_irgolden \
       --target test_jit --target test_translationservice \
-      --target test_core --target test_schedsignal \
+      --target test_transcache --target test_core --target test_schedsignal \
       --target test_mtsched >/dev/null
   ctest --preset asan
 )
@@ -174,7 +175,7 @@ fuzz_soak() (
 step build build
 step "unit tests" unit_tests
 step "smoke: sec39_dispatch" sec39_dispatch
-step "smoke: trace tier (third-tier JIT)" trace_tier
+step "smoke: trace tier (second-tier JIT)" trace_tier
 step "smoke: table2_slowdown" table2_slowdown
 step "smoke: sec33_warmstart (persistent translation cache)" sec33_warmstart
 step "smoke: loopgrind (tool plug-in surface)" loopgrind

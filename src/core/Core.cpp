@@ -39,17 +39,12 @@ Core::Core(Tool *ToolPlugin)
                  "when to check for self-modifying code: none|stack|all");
   Opts.addOption("chaining", "no",
                  "chain translations directly (ablation of Section 3.9)");
-  Opts.addOption("hot-threshold", "0",
-                 "executions before a block is retranslated as a "
-                 "branch-chased superblock (0 = off)");
+  Opts.addOption("hot-threshold", "50",
+                 "under --trace-tier, a block that has run 4x this many "
+                 "times becomes a trace head (0 = never)");
   Opts.addOption("trace-tier", "no",
-                 "stitch hot superblock chains into optimised traces "
-                 "(tier 2; needs --chaining and --hot-threshold)");
-  Opts.addOption("trace-threshold", "0",
-                 "executions before a hot superblock is considered for "
-                 "trace formation (0 = 4x hot-threshold)");
-  Opts.addOption("trace-max-blocks", "8",
-                 "maximum superblocks stitched into one trace (2-8)");
+                 "stitch hot blocks along their dominant chain edges into "
+                 "optimised traces (tier 2; needs --chaining)");
   Opts.addOption("profile", "no",
                  "record per-phase translation time and per-block execution "
                  "counts; dump a ranked hot-block report at exit");
@@ -101,13 +96,13 @@ void Core::applyOptions() {
   else
     Smc = SmcMode::Stack;
   ChainingEnabled = Opts.getBool("chaining");
-  HotThreshold = static_cast<uint64_t>(
-      Opts.getIntChecked("hot-threshold", 0, INT64_MAX));
   TraceTier = Opts.getBool("trace-tier");
-  TraceThreshold = static_cast<uint64_t>(
-      Opts.getIntChecked("trace-threshold", 0, INT64_MAX));
-  setTraceMaxBlocks(static_cast<unsigned>(
-      Opts.getIntChecked("trace-max-blocks", 2, 8)));
+  // Parsed even when unused, so a malformed value is always an error.
+  uint64_t Hot = static_cast<uint64_t>(
+      Opts.getIntChecked("hot-threshold", 0, INT64_MAX));
+  TraceHeadExecs = TraceTier && ChainingEnabled && Hot
+                       ? 4 * std::min<uint64_t>(Hot, UINT64_MAX / 4)
+                       : UINT64_MAX;
   if (Opts.getBool("profile") && !Prof)
     Prof = std::make_unique<Profiler>();
   StackSwitchThreshold =
@@ -428,21 +423,13 @@ bool Core::addrOnAnyStack(uint32_t Addr) const {
   return ClReqs->onRegisteredStack(Addr);
 }
 
-void Core::setupTranslation(TranslationOptions &TO, uint32_t PC, bool Hot,
+void Core::setupTranslation(TranslationOptions &TO, uint32_t PC,
                             Translation *Raw) {
   TO.Spec = Spec;
   TO.Verify = Opts.getBool("verify-ir");
   TO.Prof = Prof.get();
-  if (Hot) {
-    // Hot tier: chase branches aggressively so the loop body becomes one
-    // superblock with chainable internal exits. Cold translations keep the
-    // default limits; only blocks that prove hot pay for big-superblock
-    // formation.
-    TO.Frontend.MaxInsns = 200;
-    TO.Frontend.MaxChases = 16;
-  }
   if (size_t N = TO.Trace.Entries.size()) {
-    // Tier 2: the trace inlines up to N former superblocks, so the limits
+    // Tier 2: the trace inlines up to N baseline blocks, so the limits
     // scale with the path length (capped — the executor frame and the
     // linear-scan allocator put a practical ceiling on block size).
     TO.Frontend.MaxInsns =

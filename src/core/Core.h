@@ -78,7 +78,7 @@ struct CoreStats {
   uint64_t SmcRetranslations = 0;
   uint64_t ChainedTransfers = 0;
   uint64_t HostRedirectCalls = 0;
-  uint64_t HotPromotions = 0; ///< blocks retranslated as hot superblocks
+  uint64_t HotPromotions = 0; ///< trace heads walked, formed or backed off
   /// Trace tier (--trace-tier): traces installed (JitStats::TraceInstalled),
   /// trace entries executed, and exits taken through a guarded side exit
   /// rather than the trace's terminal edge (TraceSideExits / TraceExecs is
@@ -135,22 +135,6 @@ public:
   SignalEngine &signals() { return *Signals; }
   DispatchLoop &dispatcher() { return *Dispatch; }
 
-  void setSmcMode(SmcMode M) { Smc = M; }
-  void setChaining(bool On) { ChainingEnabled = On; }
-  /// Executions before a block is retranslated as a hot superblock with
-  /// branch chasing (0 disables the hotness tier).
-  void setHotThreshold(uint64_t N) { HotThreshold = N; }
-  /// Enables the trace tier: hot superblocks whose chain edges are strongly
-  /// biased get stitched into optimised traces (requires chaining and the
-  /// hot tier to be on — traces form over tier-1 blocks only).
-  void setTraceTier(bool On) { TraceTier = On; }
-  /// Executions before a tier-1 superblock is considered for trace
-  /// formation (0 = 4x the hot threshold).
-  void setTraceThreshold(uint64_t N) { TraceThreshold = N; }
-  /// Maximum superblocks stitched into one trace (clamped to [2, 8]).
-  void setTraceMaxBlocks(unsigned N) {
-    TraceMaxBlocks = N < 2 ? 2 : (N > 8 ? 8 : N);
-  }
   Profiler *profiler() { return Prof.get(); }
   /// Non-null under --fault-inject / --trace-events.
   FaultPlan *faultPlan() { return Faults.get(); }
@@ -244,8 +228,14 @@ public:
   void discardTranslations(uint32_t Addr, uint32_t Len);
 
   // --- TranslationHost (called by the TranslationService) -----------------
-  void setupTranslation(TranslationOptions &TO, uint32_t PC, bool Hot,
+  void setupTranslation(TranslationOptions &TO, uint32_t PC,
                         Translation *Raw) override;
+  /// For callers that replay translations by tier. \p Hot is ignored: with
+  /// hot superblocks gone a block has one shape; TO.Trace marks a trace.
+  void setupTranslation(TranslationOptions &TO, uint32_t PC, bool /*Hot*/,
+                        Translation *Raw) {
+    setupTranslation(TO, PC, Raw);
+  }
   void noteTranslation(uint32_t PC, const Translation &T,
                        double Seconds) override;
 
@@ -319,15 +309,10 @@ private:
   unsigned SchedThreads = 1; // --sched-threads
   SmcMode Smc = SmcMode::Stack;
   bool ChainingEnabled = false;
-  uint64_t HotThreshold = 0;   // 0 = hotness tier off
-  bool TraceTier = false;      // --trace-tier
-  uint64_t TraceThreshold = 0; // 0 = 4x HotThreshold
-  unsigned TraceMaxBlocks = 8; // constituents per trace, [2, 8]
-  /// The effective trace-formation threshold (never 0 when the hot tier is
-  /// on, so the gate can use a plain >=).
-  uint64_t effTraceThreshold() const {
-    return TraceThreshold ? TraceThreshold : 4 * HotThreshold;
-  }
+  bool TraceTier = false; // --trace-tier
+  /// Executions that make a baseline block a trace head: 4x --hot-threshold
+  /// under --trace-tier with chaining, else never (DESIGN section 13).
+  uint64_t TraceHeadExecs = UINT64_MAX;
   uint32_t StackSwitchThreshold = 2u << 20; // 2MB (Section 3.12)
 
   std::unique_ptr<Profiler> Prof;      // non-null under --profile

@@ -16,7 +16,7 @@ using namespace vg;
 using namespace vg::vg1;
 
 //===----------------------------------------------------------------------===//
-// Translation lookup, promotion, and trace formation
+// Translation lookup and trace formation
 //===----------------------------------------------------------------------===//
 
 Translation *DispatchLoop::findOrTranslate(ShardCtx &S, uint32_t PC) {
@@ -44,7 +44,7 @@ Translation *DispatchLoop::findOrTranslate(ShardCtx &S, uint32_t PC) {
   ++S.FastCacheMisses;
   Translation *T = C.TT.lookup(PC);
   if (!T)
-    T = C.XS->translateSync(PC, /*Hot=*/false);
+    T = C.XS->translateSync(PC);
   Line() = FastCacheEntry{PC, T};
   return T;
 }
@@ -71,7 +71,7 @@ TraceSpec DispatchLoop::selectTracePath(Translation *Head) {
   TraceSpec Spec;
   Spec.Entries.push_back(Head->Addr);
   Translation *Cur = Head;
-  while (Spec.Entries.size() < C.TraceMaxBlocks) {
+  while (Spec.Entries.size() < MaxTraceBlocks) {
     Translation *Best = nullptr;
     uint64_t BestEdge = 0;
     for (size_t I = 0; I != Cur->Chain.size(); ++I) {
@@ -83,7 +83,7 @@ TraceSpec DispatchLoop::selectTracePath(Translation *Head) {
           I < Cur->EdgeExecs.size()
               ? Cur->EdgeExecs[I].load(std::memory_order_relaxed)
               : 0;
-      if (Succ && Succ->Tier == 1 && Edge > BestEdge) {
+      if (Succ && Succ->Tier == 0 && Edge > BestEdge) {
         Best = Succ;
         BestEdge = Edge;
       }
@@ -126,14 +126,12 @@ const hvm::CodeBlob *DispatchLoop::chainResolveThunk(void *User, void *Cookie,
   if (!Succ)
     return nullptr;
   // Hotness accounting happens here too, or chained loops would never
-  // cross a threshold. A successor crossing the hot or trace threshold
-  // bounces to the dispatcher, which promotes or stitches under the world
-  // lock — never inside a chain, where an install could evict running
-  // code. TraceRetryAt stops an unbiased head bouncing every transfer.
-  uint64_t E = Succ->ExecCount.load(std::memory_order_relaxed) + 1;
-  if ((C.HotThreshold && Succ->Tier == 0 && E >= C.HotThreshold) ||
-      (C.TraceTier && Succ->Tier == 1 && E >= C.effTraceThreshold() &&
-       E >= Succ->TraceRetryAt.load(std::memory_order_relaxed))) {
+  // cross a threshold. A successor that has become a trace head bounces
+  // to the dispatcher, which stitches under the world lock — never inside
+  // a chain, where an install could evict running code. TraceRetryAt
+  // stops an unbiased head bouncing every transfer.
+  if (S->D->traceHead(*Succ,
+                      Succ->ExecCount.load(std::memory_order_relaxed) + 1)) {
     // Prefill the successor's fast-cache line so the bounced dispatch
     // doesn't pay a table lookup for a block we are holding.
     if (S->FastCacheGen == C.TT.generation())
@@ -193,11 +191,15 @@ void DispatchLoop::dispatchQuantum(ShardCtx &S, ThreadState &TS,
   uint32_t LastSlot = ~0u;
   uint32_t LastAddr = 0;
 
-  YieldFlags[TS.Tid].store(false, std::memory_order_relaxed);
+  // callGuest's nested run must reach its sentinel: it neither clears nor
+  // stops at the yield flag, so a yield ends the enclosing quantum instead.
+  bool Nested = StopPC != NoStopPC;
+  if (!Nested)
+    YieldFlags[TS.Tid].store(false, std::memory_order_relaxed);
   while (Quantum > 0 && !C.ProcessExited.load(std::memory_order_acquire) &&
          !C.FatalSignal.load(std::memory_order_acquire) &&
          TS.Status == ThreadStatus::Runnable &&
-         !YieldFlags[TS.Tid].load(std::memory_order_relaxed)) {
+         (Nested || !YieldFlags[TS.Tid].load(std::memory_order_relaxed))) {
     // Quiescent point: between Exec.run calls this context holds no
     // translation pointer except LastCookie — and that one is only ever
     // dereferenced after the residency check below proves the table still
@@ -274,30 +276,17 @@ void DispatchLoop::dispatchQuantum(ShardCtx &S, ThreadState &TS,
       LastCookie = nullptr;
       LastSlot = ~0u;
 
-      // Hotness tier: once a block has proven itself, retranslate it as a
-      // superblock, stalling the guest. The insert replaces the cold
-      // translation, and its predecessors' chain slots relink to the
-      // superblock at once (TransTab's eager waiter resolution).
       uint64_t Execs =
           T->ExecCount.fetch_add(1, std::memory_order_relaxed) + 1;
       if (C.Prof)
         C.Prof->noteExec(PC);
-      if (C.HotThreshold && T->Tier == 0 && Execs >= C.HotThreshold) {
-        ++C.Stats.HotPromotions;
-        uint64_t GenBefore = C.TT.generation();
-        T = C.XS->translateSync(PC, /*Hot=*/true);
-        repairFastCache(S, PC, T, GenBefore);
-      }
 
-      // Trace tier: a tier-1 superblock whose chain edges have proven
-      // strongly biased gets its dominant path stitched into one trace.
-      // Requires chaining (the chain graph is both the evidence and the
-      // profit mechanism). Re-read the exec count: the promotion above may
-      // have replaced T.
-      uint64_t TExecs = T->ExecCount.load(std::memory_order_relaxed);
-      if (C.TraceTier && C.ChainingEnabled && T->Tier == 1 &&
-          TExecs >= C.effTraceThreshold() &&
-          TExecs >= T->TraceRetryAt.load(std::memory_order_relaxed)) {
+      // Trace tier: a hot block whose chain edges have proven strongly
+      // biased gets its dominant path stitched into one trace, stalling the
+      // guest. The chain graph is both the evidence and the profit
+      // mechanism, so traceHead never fires without chaining.
+      if (traceHead(*T, Execs)) {
+        ++C.Stats.HotPromotions;
         TraceSpec Spec = selectTracePath(T);
         uint64_t GenBefore = C.TT.generation();
         Translation *NT =
@@ -309,7 +298,7 @@ void DispatchLoop::dispatchQuantum(ShardCtx &S, ThreadState &TS,
           // No dominant successor (the chain graph is unbiased at the
           // head) or a spill overflow: back off exponentially rather than
           // re-walking it every entry.
-          T->TraceRetryAt.store(TExecs * 2, std::memory_order_relaxed);
+          T->TraceRetryAt.store(Execs * 2, std::memory_order_relaxed);
         }
       }
       // Counted against the translation that actually runs: a trace formed
@@ -348,7 +337,7 @@ void DispatchLoop::dispatchQuantum(ShardCtx &S, ThreadState &TS,
     case ir::JumpKind::Ret:
       continue;
     case ir::JumpKind::Yield:
-      Quantum = 0;
+      YieldFlags[TS.Tid].store(true, std::memory_order_relaxed);
       continue;
     default:
       break;
@@ -489,8 +478,7 @@ void DispatchLoop::runSerial() {
                                static_cast<uint32_t>(FaultKind::Preempt), 1);
       Quantum = 1;
     }
-    dispatchQuantum(CoreCtx, C.Threads[C.CurTid], Quantum,
-                    /*StopPC=*/0xFFFFFFFF);
+    dispatchQuantum(CoreCtx, C.Threads[C.CurTid], Quantum, NoStopPC);
   }
 }
 
@@ -569,7 +557,7 @@ void DispatchLoop::shardMain(ShardCtx &S) {
       return;
     ++S.Quanta;
     uint64_t Quantum = quantumLeft();
-    dispatchQuantum(S, C.Threads[Tid], Quantum, /*StopPC=*/0xFFFFFFFF);
+    dispatchQuantum(S, C.Threads[Tid], Quantum, NoStopPC);
     S.LocalEpoch.store(~0ull, std::memory_order_release);
     if (C.ProcessExited.load(std::memory_order_acquire) ||
         C.FatalSignal.load(std::memory_order_acquire) ||

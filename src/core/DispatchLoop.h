@@ -11,8 +11,8 @@
 ///     big lock of Section 3.14) on the core's exclusive context, and the
 ///     sharded run queue (--sched-threads=N) with one context per shard,
 ///     a world lock, and QSBR epoch/limbo reclamation of retirements;
-///   - hot-tier promotion and trace-formation gating (translation itself
-///     stays in the TranslationService);
+///   - trace-formation gating (translation itself stays in the
+///     TranslationService);
 ///   - call-into-guest (replacement and wrapping functions run the code
 ///     they replaced), also on the exclusive context.
 ///
@@ -112,10 +112,10 @@ private:
 
   /// Dispatches blocks for \p TS on context \p S until the quantum is
   /// spent, the process exits, a fatal signal lands, the thread stops being
-  /// runnable or yields, or the PC reaches \p StopPC (callGuest's
-  /// sentinel). Block-boundary work (translate, chain, promote, signals,
-  /// syscalls) runs under the world lock; Exec.run and the chain thunk run
-  /// lock-free.
+  /// runnable or yields, or the PC reaches \p StopPC (callGuest's sentinel,
+  /// whose run a yield does not stop). Block-boundary work (translate,
+  /// chain, trace, signals, syscalls) runs under the world lock; Exec.run
+  /// and the chain thunk run lock-free.
   void dispatchQuantum(ShardCtx &S, ThreadState &TS, uint64_t &Quantum,
                        uint32_t StopPC);
   /// The world lock for \p S: WorldMu for a shard, nothing for the
@@ -131,6 +131,12 @@ private:
                        uint64_t GenBefore);
   static const hvm::CodeBlob *chainResolveThunk(void *User, void *Cookie,
                                                 uint32_t Slot);
+  /// The trace gate the dispatcher and the chain thunk share: a baseline
+  /// block whose \p Execs reach the head threshold and any backoff.
+  bool traceHead(const Translation &T, uint64_t Execs) const {
+    return Execs >= C.TraceHeadExecs && T.Tier == 0 &&
+           Execs >= T.TraceRetryAt.load(std::memory_order_relaxed);
+  }
   /// Blocks left in this quantum: ThreadQuantum, capped by the budget.
   uint64_t quantumLeft() const;
   /// Adds \p S's dispatch counters into Core::Stats and zeroes them.
@@ -153,6 +159,7 @@ private:
   /// each step. Returns a spec with fewer than 2 entries when no biased
   /// path exists (caller backs off via TraceRetryAt).
   TraceSpec selectTracePath(Translation *Head);
+  static constexpr size_t MaxTraceBlocks = 8; ///< constituents per trace
   /// Block-boundary fault injection (sigstorm / ttflush). Called at the
   /// top of the dispatch loop.
   void injectBoundaryFaults(ThreadState &TS);
@@ -165,7 +172,7 @@ private:
   /// See blockClock().
   std::atomic<uint64_t> BlockClock{0};
   uint64_t MaxBlocks = ~0ull; ///< run()'s block budget
-  /// Per-guest-thread yield requests, cleared when a quantum starts.
+  /// Per-guest-thread yield requests, cleared when a scheduler quantum starts.
   std::array<std::atomic<bool>, Core::MaxThreads> YieldFlags{};
 
   // Sharded-scheduler state (inert at --sched-threads=1: RunQ stays null,
@@ -184,6 +191,7 @@ private:
 
   /// Sentinel return address used by callGuest.
   static constexpr uint32_t ReturnSentinel = 0xFFFF0000;
+  static constexpr uint32_t NoStopPC = 0xFFFFFFFF; ///< a scheduler quantum
 };
 
 } // namespace vg

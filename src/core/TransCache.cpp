@@ -143,7 +143,6 @@ TransCache::LoadResult decodeEntryFile(const std::vector<uint8_t> &File,
   Cursor C{Payload, PayloadLen};
   TransCacheEntry E;
   E.Addr = C.u32();
-  E.Tier = C.u8();
   E.NumInsns = C.u32();
   E.CodeHash = C.u64();
   E.NumSpillSlots = C.u32();
@@ -222,7 +221,6 @@ bool encodeEntryFile(uint64_t ConfigHash, uint64_t Key,
 
   std::vector<uint8_t> Payload;
   putU32(Payload, E.Addr);
-  Payload.push_back(E.Tier);
   putU32(Payload, E.NumInsns);
   putU64(Payload, E.CodeHash);
   putU32(Payload, E.NumSpillSlots);
@@ -269,13 +267,12 @@ TransCache::TransCache(std::string DirIn, uint64_t MaxBytesIn,
   }
 }
 
-uint64_t TransCache::entryKey(uint32_t PC, bool Hot, uint64_t PrefixHash) {
-  uint8_t Seed[13];
+uint64_t TransCache::entryKey(uint32_t PC, uint64_t PrefixHash) {
+  uint8_t Seed[12];
   for (int I = 0; I != 4; ++I)
     Seed[I] = static_cast<uint8_t>(PC >> (8 * I));
-  Seed[4] = Hot ? 1 : 0;
   for (int I = 0; I != 8; ++I)
-    Seed[5 + I] = static_cast<uint8_t>(PrefixHash >> (8 * I));
+    Seed[4 + I] = static_cast<uint8_t>(PrefixHash >> (8 * I));
   return fnv1a(Seed, sizeof(Seed));
 }
 

@@ -51,14 +51,13 @@ namespace vg {
 
 /// Bump on any change to the entry layout or to anything that alters
 /// generated code without being captured by the option fingerprint.
-constexpr uint32_t TransCacheFormatVersion = 1;
+constexpr uint32_t TransCacheFormatVersion = 2;
 
 /// One translation in its process-independent form. Bytes hold callee
 /// *name indexes* on disk; load() returns them patched back to live
 /// pointers, ready for CodeBlob::Bytes.
 struct TransCacheEntry {
   uint32_t Addr = 0;
-  uint8_t Tier = 0;
   uint32_t NumInsns = 0;
   uint64_t CodeHash = 0;
   std::vector<std::pair<uint32_t, uint32_t>> Extents;
@@ -82,12 +81,12 @@ public:
   /// format version — entries from other configurations are invisible.
   TransCache(std::string Dir, uint64_t MaxBytes, uint64_t ConfigHash);
 
-  /// The lookup key for a translation of \p PC at tier \p Hot whose guest
-  /// code starts with bytes hashing to \p PrefixHash. The prefix hash only
+  /// The lookup key for the baseline block at \p PC whose guest code
+  /// starts with bytes hashing to \p PrefixHash. The prefix hash only
   /// affects the hit rate, never correctness: a colliding entry either
   /// covers identical guest bytes (and is the correct, deterministic
   /// pipeline output for them) or fails the caller's live-hash check.
-  static uint64_t entryKey(uint32_t PC, bool Hot, uint64_t PrefixHash);
+  static uint64_t entryKey(uint32_t PC, uint64_t PrefixHash);
 
   /// Fingerprint for the run configuration. \p Options are (name, value)
   /// pairs of every option that can influence generated code.

@@ -16,14 +16,14 @@
 /// scanning the whole table. Slots whose successor does not exist yet are
 /// parked in a pending-waiter map and filled eagerly the moment the
 /// successor is inserted — including re-insertion after SMC invalidation or
-/// hot-tier retranslation — so the dispatcher almost never has to fill a
-/// chain slot lazily.
+/// a trace installing over its head — so the dispatcher almost never has
+/// to fill a chain slot lazily.
 ///
 /// Concurrency (DESIGN section 14): the table structure (slots, waiter map,
 /// back-edge vectors) is only ever mutated by a thread holding the core's
 /// world lock; the per-translation execution profile (ExecCount, EdgeExecs),
-/// the chain slots themselves, and the generation/flush-epoch counters are
-/// atomics so that the dispatch loop and the chain thunk may read them —
+/// the chain slots themselves, and the generation counter are atomics so
+/// that the dispatch loop and the chain thunk may read them —
 /// and bump the profile — without any lock. Chain installs are release
 /// stores; unchaining happens under the world lock and the freed
 /// translation is handed to the retire hook (when set) instead of being
@@ -55,19 +55,19 @@ struct Translation {
   uint32_t NumInsns = 0;
   uint64_t Seq = 0; ///< insertion order (FIFO eviction key)
   /// Times the block was entered (dispatcher entries plus chained
-  /// transfers); drives hot-tier promotion. Relaxed-atomic: bumped by
-  /// whichever shard executes the block, read by promotion gates and the
+  /// transfers); drives trace formation. Relaxed-atomic: bumped by
+  /// whichever shard executes the block, read by the trace gate and the
   /// trace selector (an approximate profile is all either needs).
   std::atomic<uint64_t> ExecCount{0};
-  /// 0 = baseline block, 1 = hot superblock (branch-chasing
-  /// retranslation), 2 = trace (stitched hot path over several former
-  /// superblocks; Extents then cover every constituent, so SMC or
+  /// 0 = baseline block, 2 = trace (stitched hot path over several
+  /// baseline blocks; Extents then cover every constituent, so SMC or
   /// invalidateRange poisoning any one of them evicts the whole trace).
+  /// 1 is unused (DESIGN section 11).
   uint8_t Tier = 0;
   /// Tier 2 only: constituent entry PCs in path order (TraceEntries[0] ==
   /// Addr). Empty below tier 2.
   std::vector<uint32_t> TraceEntries;
-  /// Tier 1 only: do not re-attempt trace formation until ExecCount
+  /// Tier 0 only: do not re-attempt trace formation until ExecCount
   /// reaches this (backoff after an unbiased chain graph or a failed
   /// stitch). 0 = eligible immediately once over the trace threshold.
   /// Relaxed-atomic: written under the world lock (backoff), read by the
@@ -177,15 +177,6 @@ public:
   /// byte-identical to the single-threaded scheduler.
   void setRetireHook(std::function<void(std::unique_ptr<Translation>)> Fn) {
     RetireFn = std::move(Fn);
-  }
-
-  /// Folds fast-cache hits counted privately by a shard into the table's
-  /// statistics view at shard exit (the single-threaded dispatcher calls
-  /// countFastHit per hit instead).
-  void addFastHits(uint64_t N) {
-    S.Lookups += N;
-    S.Hits += N;
-    S.FastHits += N;
   }
 
 private:

@@ -159,7 +159,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   if (Host.NumSpillSlots > hvm::Executor::MaxSpillSlots) {
     if (IsTrace) {
       // A stitched path can legitimately outgrow the executor frame; the
-      // caller keeps running the constituent tier-1 blocks instead.
+      // caller keeps running the constituent baseline blocks instead.
       TranslatedBlock TB;
       TB.SpillOverflow = true;
       TB.Meta = std::move(Dis);

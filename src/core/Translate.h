@@ -73,7 +73,7 @@ struct TranslatedBlock {
   DisasmResult Meta; ///< extents, instruction count, decode status
   /// Trace pipelines only: register allocation overflowed the executor
   /// frame (a stitched path can be much larger than any superblock). The
-  /// blob is empty; the caller falls back to the constituent tier-1
+  /// blob is empty; the caller falls back to the constituent baseline
   /// blocks. Plain superblocks still treat overflow as a fatal bug.
   bool SpillOverflow = false;
 };

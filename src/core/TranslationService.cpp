@@ -22,7 +22,7 @@ double TranslationService::now() {
 }
 
 void TranslationService::fillTranslation(Translation &T, uint32_t PC,
-                                         bool Hot, TranslatedBlock TB) {
+                                         TranslatedBlock TB) {
   T.Addr = PC;
   // A trace pipeline marks its result through the disassembly metadata;
   // the extents then span every constituent, so invalidateRange poisoning
@@ -30,8 +30,6 @@ void TranslationService::fillTranslation(Translation &T, uint32_t PC,
   if (!TB.Meta.TraceEntries.empty()) {
     T.Tier = 2;
     T.TraceEntries = TB.Meta.TraceEntries;
-  } else {
-    T.Tier = Hot ? 1 : 0;
   }
   T.Blob = std::move(TB.Blob);
   T.Extents = TB.Meta.Extents;
@@ -94,7 +92,7 @@ unsigned TranslationService::invalidateAll() {
 
 Translation *
 TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
-                                     uint64_t Key, uint32_t PC, bool Hot) {
+                                     uint64_t Key, uint32_t PC) {
   double T0 = now();
   TransCacheEntry E;
   TransCache::LoadResult R = Cache->load(Key, E);
@@ -108,8 +106,8 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
   // (redirect/unmap/flush) may have poisoned the range. Anything else is a
   // reject — fall through to the pipeline.
   if (R == TransCache::LoadResult::Malformed || E.Addr != PC ||
-      E.Tier != (Hot ? 1 : 0) || E.Extents.empty() ||
-      hashLive(E.Extents) != E.CodeHash || Cache->poisoned(E.Extents)) {
+      E.Extents.empty() || hashLive(E.Extents) != E.CodeHash ||
+      Cache->poisoned(E.Extents)) {
     ++JS.CacheRejects;
     JS.CacheLoadSeconds += now() - T0;
     return nullptr;
@@ -117,7 +115,6 @@ TranslationService::installFromCache(std::unique_ptr<Translation> &TPtr,
 
   Translation *Raw = TPtr.get();
   Raw->Addr = PC;
-  Raw->Tier = Hot ? 1 : 0;
   Raw->Extents = std::move(E.Extents);
   Raw->CodeHash = E.CodeHash;
   Raw->NumInsns = E.NumInsns;
@@ -139,7 +136,6 @@ void TranslationService::writeBackToCache(uint64_t Key, const Translation &T) {
   double T0 = now();
   TransCacheEntry E;
   E.Addr = T.Addr;
-  E.Tier = T.Tier;
   E.NumInsns = T.NumInsns;
   E.CodeHash = T.CodeHash;
   E.Extents = T.Extents;
@@ -169,12 +165,12 @@ TranslatedBlock TranslationService::runPipeline(uint32_t PC,
   return translateBlock(PC, Fetch, TO);
 }
 
-Translation *TranslationService::translateSync(uint32_t PC, bool Hot) {
+Translation *TranslationService::translateSync(uint32_t PC) {
   auto TPtr = std::make_unique<Translation>();
   Translation *Raw = TPtr.get();
 
   TranslationOptions TO;
-  Host.setupTranslation(TO, PC, Hot, Raw);
+  Host.setupTranslation(TO, PC, Raw);
 
   // The persistent cache sits in front of the pipeline. Eligibility
   // (Raw->Cacheable) was just decided by setupTranslation, so
@@ -182,8 +178,8 @@ Translation *TranslationService::translateSync(uint32_t PC, bool Hot) {
   uint64_t Key = 0;
   bool UseCache = Cache && Raw->Cacheable;
   if (UseCache) {
-    Key = TransCache::entryKey(PC, Hot, cachePrefixHash(PC));
-    if (Translation *T = installFromCache(TPtr, Key, PC, Hot))
+    Key = TransCache::entryKey(PC, cachePrefixHash(PC));
+    if (Translation *T = installFromCache(TPtr, Key, PC))
       return T;
   }
 
@@ -193,7 +189,7 @@ Translation *TranslationService::translateSync(uint32_t PC, bool Hot) {
   // eight-phase pipeline they bracket.
   double T0 = now();
   TranslatedBlock TB = runPipeline(PC, TO);
-  fillTranslation(*Raw, PC, Hot, std::move(TB));
+  fillTranslation(*Raw, PC, std::move(TB));
   Raw->CodeHash = hashLive(Raw->Extents);
   Host.noteTranslation(PC, *Raw, now() - T0);
   Translation *Res = TT.insert(std::move(TPtr));
@@ -214,16 +210,16 @@ Translation *TranslationService::translateTrace(const TraceSpec &Spec) {
   TO.Trace = Spec;
   ir::TraceOptStats TS;
   TO.TraceStats = &TS;
-  Host.setupTranslation(TO, PC, /*Hot=*/true, Raw);
+  Host.setupTranslation(TO, PC, Raw);
   ++JS.TraceRequests;
 
   double T0 = now();
   TranslatedBlock TB = runPipeline(PC, TO);
   if (TB.SpillOverflow) {
     ++JS.TraceAborts;
-    return nullptr; // keep running the constituent tier-1 blocks
+    return nullptr; // keep running the constituent baseline blocks
   }
-  fillTranslation(*Raw, PC, /*Hot=*/true, std::move(TB));
+  fillTranslation(*Raw, PC, std::move(TB));
   Raw->CodeHash = hashLive(Raw->Extents);
   Host.noteTranslation(PC, *Raw, now() - T0);
   JS.TraceDeadFlagPuts += TS.DeadFlagPuts;

@@ -52,11 +52,11 @@ class TranslationHost {
 public:
   virtual ~TranslationHost();
 
-  /// Fills the pipeline options for translating the block at \p PC,
-  /// binding the instrument hook against \p Raw (the Translation under
-  /// construction — the SMC prelude embeds its address).
+  /// Fills the pipeline options for translating the block (or TO.Trace) at
+  /// \p PC, binding the instrument hook against \p Raw (the Translation
+  /// under construction — the SMC prelude embeds its address).
   virtual void setupTranslation(TranslationOptions &TO, uint32_t PC,
-                                bool Hot, Translation *Raw) = 0;
+                                Translation *Raw) = 0;
 
   /// Accounting for one installed translation (fresh or cache-served).
   virtual void noteTranslation(uint32_t PC, const Translation &T,
@@ -95,17 +95,16 @@ public:
   /// is discarded and the whole cache poisoned.
   unsigned invalidateAll();
 
-  /// The synchronous pipeline: translate the block at \p PC (hot = chase
-  /// branches into a superblock), hash its bytes, account it through the
-  /// host, and insert it into the table. With a cache attached, an
-  /// eligible PC is first looked up on disk (a validated hit skips the
-  /// pipeline entirely) and a fresh translation is written back after
-  /// install.
-  Translation *translateSync(uint32_t PC, bool Hot);
+  /// The synchronous pipeline: translate the baseline block at \p PC, hash
+  /// its bytes, account it through the host, and insert it into the table.
+  /// With a cache attached, an eligible PC is first looked up on disk (a
+  /// validated hit skips the pipeline entirely) and a fresh translation is
+  /// written back after install.
+  Translation *translateSync(uint32_t PC);
 
   /// The trace tier (tier 2). Stitches the hot path described by \p Spec
-  /// into one trace translation and installs it over the head's tier-1
-  /// block. Returns null (leaving the tier-1 block resident) when register
+  /// into one trace translation and installs it over the head's baseline
+  /// block. Returns null (leaving the baseline block resident) when register
   /// allocation overflows the executor frame — the only way a stitch can
   /// fail once the frontend has a path. Dispatch-boundary only. Never
   /// consults or feeds the persistent cache: a trace encodes this run's
@@ -129,13 +128,13 @@ private:
   /// the hit, installs, and returns the resident translation. Null on
   /// miss/reject (the shell stays reusable by the pipeline).
   Translation *installFromCache(std::unique_ptr<Translation> &TPtr,
-                                uint64_t Key, uint32_t PC, bool Hot);
+                                uint64_t Key, uint32_t PC);
   /// Serializes an installed translation under \p Key (counts
   /// CacheWrites).
   void writeBackToCache(uint64_t Key, const Translation &T);
   /// Runs the pipeline over live guest memory.
   TranslatedBlock runPipeline(uint32_t PC, const TranslationOptions &TO);
-  static void fillTranslation(Translation &T, uint32_t PC, bool Hot,
+  static void fillTranslation(Translation &T, uint32_t PC,
                               TranslatedBlock TB);
 
   TranslationHost &Host;

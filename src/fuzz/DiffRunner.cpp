@@ -92,12 +92,8 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
   std::vector<FuzzConfig> M;
   M.push_back({"nulgrind", "nulgrind", {}, false, false});
   M.push_back({"nulgrind-noopt", "nulgrind", {"--no-iropt"}, false, false});
-  M.push_back({"nulgrind-chain",
-               "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false});
+  M.push_back({"nulgrind-chain", "nulgrind", {"--chaining=yes"}, false,
+               false});
   M.push_back({"nulgrind-verify", "nulgrind", {"--verify-ir"}, false, false});
   {
     // Scheduler fuzzing: only observation-neutral fault kinds (preempts,
@@ -114,14 +110,13 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
     M.push_back({"nulgrind-fault", "nulgrind", {Spec.str()}, false, false,
                  /*CheckSmcRetrans=*/false});
   }
-  // Trace tier: aggressive thresholds so fuzz-sized loops actually stitch
-  // traces. Same SMC waiver as the hot cell — a trace formed after
-  // the patch was translated from the patched bytes, so SmcFail may
+  // Trace tier: an aggressive threshold (heads at 8 executions) so
+  // fuzz-sized loops actually stitch traces. SMC waiver: a trace formed
+  // after the patch was translated from the patched bytes, so SmcFail may
   // legitimately never fire.
   M.push_back({"nulgrind-traces",
                "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
-                "--trace-threshold=8"},
+               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes"},
                false,
                false,
                /*CheckSmcRetrans=*/false});
@@ -138,24 +133,20 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
                /*CheckSmcRetrans=*/false});
   M.push_back({"icnt", "icnt", {}, true, false});
   M.push_back({"icntc", "icntc", {"--chaining=yes"}, true, false});
-  M.push_back({"memcheck",
-               "memcheck",
-               {"--chaining=yes", "--hot-threshold=3"},
-               false,
-               true,
-               /*CheckSmcRetrans=*/false});
+  M.push_back({"memcheck", "memcheck", {"--chaining=yes"}, false, true});
   M.push_back({"memcheck-traces",
                "memcheck",
-               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
-                "--trace-threshold=8"},
+               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes"},
                false,
                true,
                /*CheckSmcRetrans=*/false});
   // Memcheck under the sharded scheduler with the JIT lit up: shadow
-  // memory, error recording, and hot promotion all take their MT paths.
+  // memory, error recording, and a trace replacing a live block all take
+  // their MT paths.
   M.push_back({"memcheck-mt",
                "memcheck",
-               {"--chaining=yes", "--hot-threshold=3", "--sched-threads=4"},
+               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
+                "--sched-threads=4"},
                false,
                true,
                /*CheckSmcRetrans=*/false});
@@ -163,13 +154,12 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
   M.push_back({"taintgrind", "taintgrind", {}, false, false});
   // Client-request cell: requests end blocks with JumpKind::ClientReq, and
   // the ClReq/ClReqCore/ClReqTool atoms put them in every program, so this
-  // cell drives them across every tier boundary at once — chained blocks,
-  // hot promotion, and trace stitching. The JIT and the RefInterp oracle
-  // must agree on every request's result.
+  // cell drives them across every tier boundary at once — chained blocks
+  // and trace stitching. The JIT and the RefInterp oracle must agree on
+  // every request's result.
   M.push_back({"nulgrind-creq",
                "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
-                "--trace-threshold=8"},
+               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes"},
                false,
                false,
                /*CheckSmcRetrans=*/false});
@@ -178,8 +168,7 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
   // visible state must be bit-identical to the oracle regardless.
   M.push_back({"loopgrind",
                "loopgrind",
-               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
-                "--trace-threshold=8"},
+               {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes"},
                false,
                false,
                /*CheckSmcRetrans=*/false});
@@ -188,20 +177,10 @@ std::vector<FuzzConfig> vg::fuzz::defaultMatrix(const FuzzProgram &P) {
   // (SMC programs get --smc-check=all below, which marks every block
   // non-cacheable; the cells then degenerate to plain double runs, still
   // divergence-checked.)
-  M.push_back({"nulgrind-cache",
-               "nulgrind",
-               {"--chaining=yes", "--hot-threshold=2"},
-               false,
-               false,
-               /*CheckSmcRetrans=*/false,
-               /*CacheTwice=*/true});
-  M.push_back({"memcheck-cache",
-               "memcheck",
-               {"--chaining=yes", "--hot-threshold=3"},
-               false,
-               true,
-               /*CheckSmcRetrans=*/false,
-               /*CacheTwice=*/true});
+  M.push_back({"nulgrind-cache", "nulgrind", {"--chaining=yes"}, false, false,
+               /*CheckSmcRetrans=*/true, /*CacheTwice=*/true});
+  M.push_back({"memcheck-cache", "memcheck", {"--chaining=yes"}, false, true,
+               /*CheckSmcRetrans=*/true, /*CacheTwice=*/true});
   if (P.Smc)
     for (FuzzConfig &C : M)
       C.Opts.push_back("--smc-check=all");

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Runs one generated program N ways — the reference interpreter as oracle,
-/// then the full JIT pipeline across the optimisation/chaining/hot-promotion
+/// then the full JIT pipeline across the optimisation/chaining/trace-tier
 /// matrix and under each tool — and compares everything the guest can
 /// observe about itself: stdout (which carries the register dump, flag
 /// probes, FP dump and memory checksum the generator's epilogue emits),
@@ -31,11 +31,11 @@ struct FuzzConfig {
   bool CheckInsnCount = false;     ///< ICnt count == oracle instruction count
   bool CheckMemcheckClean = false; ///< zero unique Memcheck errors expected
   /// SMC programs must show >= 1 SmcFail retranslation. Only asserted in
-  /// cells without aggressive hot promotion: a tiny --hot-threshold lets
-  /// the re-executed block be *hot-retranslated* from the already-patched
-  /// bytes, which is correct behaviour (the guest sees new code) but never
-  /// takes the SmcFail path. Data transparency is still checked everywhere
-  /// via the stdout comparison.
+  /// cells that never retranslate a live block for another reason: a trace
+  /// formed (or an injected TT flush taken) after the patch is translated
+  /// from the already-patched bytes, which is correct behaviour (the guest
+  /// sees new code) but never takes the SmcFail path. Data transparency is
+  /// still checked everywhere via the stdout comparison.
   bool CheckSmcRetrans = true;
   /// Run the program twice against one fresh --tt-cache directory: the
   /// first (cold) run populates it, the second (warm) run installs from it.

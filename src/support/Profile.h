@@ -42,7 +42,7 @@ struct ProfCounters {
   uint64_t FastCacheMisses = 0;
   uint64_t ChainedTransfers = 0;
   uint64_t Translations = 0;
-  uint64_t HotPromotions = 0;
+  uint64_t HotPromotions = 0; ///< hot blocks walked for a trace
   uint64_t TableLookups = 0;
   uint64_t TableHits = 0;
   uint64_t ChainsFilled = 0;
@@ -80,7 +80,7 @@ struct ProfCounters {
   // Trace-tier counters (only when --trace-tier is on).
   bool HasTraces = false;
   uint64_t TraceRequests = 0;     ///< trace formations attempted
-  uint64_t TracesFormed = 0;      ///< traces installed over tier-1 heads
+  uint64_t TracesFormed = 0;      ///< traces installed over baseline heads
   uint64_t TraceAborts = 0;       ///< spill overflow
   uint64_t TraceExecs = 0;        ///< trace entries executed
   uint64_t TraceSideExits = 0;    ///< exits taken through a guarded side exit
@@ -129,7 +129,7 @@ public:
   /// One block entry (dispatcher entry or chained transfer) at \p Addr.
   void noteExec(uint32_t Addr) { ++Blocks[Addr].Execs; }
 
-  /// A translation of \p Addr finished (Tier 1 = hot superblock).
+  /// A translation of \p Addr finished (Tier 2 = trace).
   void noteTranslation(uint32_t Addr, uint32_t NumInsns, unsigned Tier,
                        double Seconds);
 

@@ -550,6 +550,7 @@ void Memcheck::registerOptions(OptionRegistry &Opts) {
 
 void Memcheck::init(Core &Core_) {
   C = &Core_;
+  Finished = false;
   LeakCheckEnabled = C->options().getBool("leak-check");
   EventHub &E = C->events();
 
@@ -729,7 +730,9 @@ void Memcheck::reportError(const char *Kind, const std::string &Msg,
   }
 }
 
-uint64_t Memcheck::uniqueErrors() const { return C->errors().uniqueErrors(); }
+uint64_t Memcheck::uniqueErrors() const {
+  return Finished ? FinalErrors : C->errors().uniqueErrors();
+}
 
 void Memcheck::leakCheck() {
   const auto &Blocks = C->heapBlocks();
@@ -812,4 +815,6 @@ void Memcheck::fini(int ExitCode) {
   if (LeakCheckEnabled)
     leakCheck();
   C->errors().printSummary(C->output());
+  FinalErrors = C->errors().uniqueErrors();
+  Finished = true;
 }

@@ -100,6 +100,8 @@ public:
 
   ShadowMap *shadowMap() override { return &SM; }
   ShadowMap &shadow() { return SM; }
+  /// Unique errors so far; after fini, the final count (callers read it
+  /// once the run is over, when the core that kept the errors is gone).
   uint64_t uniqueErrors() const;
 
   // --- helpers called from generated code (public: bound into Callee
@@ -129,6 +131,8 @@ private:
   Core *C = nullptr;
   ShadowMap SM;
   bool LeakCheckEnabled = true;
+  bool Finished = false;    ///< fini ran; C may be dangling
+  uint64_t FinalErrors = 0; ///< unique errors at fini
 
   // Statistics for the summary line. Atomic (relaxed): the helpers run
   // lock-free inside Exec.run, concurrently across shards under

@@ -208,9 +208,8 @@ TEST(CoreRequests, RefInterpAndJitAgreeOnRequestResults) {
   const std::vector<std::vector<std::string>> Configs = {
       {},
       {"--no-iropt"},
-      {"--chaining=yes", "--hot-threshold=2"},
-      {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes",
-       "--trace-threshold=8"},
+      {"--chaining=yes"},
+      {"--chaining=yes", "--hot-threshold=2", "--trace-tier=yes"},
   };
   for (const auto &Opts : Configs) {
     Nulgrind T;
@@ -267,6 +266,41 @@ TEST(Wrap, PreOriginalPostOrderWithResultRewrite) {
     Blocks.push_back(R.Stats.BlocksDispatched);
   }
   EXPECT_EQ(Blocks[1], Blocks[0]);
+}
+
+// A wrapped original that yields must still run to its return: the
+// nested dispatch callGuest starts ends at the return sentinel, not at the
+// yield, and Post sees the original's real result. The yield still ends
+// the caller's quantum once the wrapper returns.
+TEST(Wrap, OriginalThatYieldsRunsToItsReturn) {
+  GuestImage Img = buildProgram([](Assembler &Code, Assembler &,
+                                   GuestLibLabels &) {
+    Label Victim = Code.newLabel();
+    Code.movi(Reg::R1, 5);
+    Code.call(Victim);
+    Code.ret(); // main returns the victim's result
+    Code.bind(Victim);
+    Code.symbol("victim");
+    Code.mov(Reg::R6, Reg::R1);
+    Code.movi(Reg::R0, SysYield);
+    Code.sys();
+    Code.addi(Reg::R0, Reg::R6, 100); // original: arg + 100, after a yield
+    Code.ret();
+  });
+  for (const char *Sched : {"--sched-threads=1", "--sched-threads=2"}) {
+    uint32_t PostResult = 0;
+    WrapHooks H;
+    H.Post = [&](Core &, ThreadState &, uint32_t &Result) {
+      PostResult = Result;
+    };
+    Nulgrind T;
+    RunReport R = runUnderCoreWith(Img, &T, {Sched}, "", ~0ull, [&](Core &C) {
+      C.wrapSymbolFunction("victim", H);
+    });
+    ASSERT_TRUE(R.Completed) << Sched;
+    EXPECT_EQ(PostResult, 105u) << Sched;
+    EXPECT_EQ(R.ExitCode, 105) << Sched;
+  }
 }
 
 TEST(Wrap, WrapFunctionByAddressFiresOnEveryCall) {

@@ -135,7 +135,7 @@ TEST(MtSched, MemcheckParallelCleanAndDeterministicOutput) {
       << Serial.ToolOutput;
 
   RunReport Mt = runMc(Img, {"--sched-threads=4", "--chaining=yes",
-                             "--hot-threshold=20"});
+                             "--hot-threshold=20", "--trace-tier=yes"});
   expectClean(Mt);
   EXPECT_EQ(Mt.Stdout, Serial.Stdout);
   EXPECT_NE(Mt.ToolOutput.find("ERROR SUMMARY: 0 errors"), std::string::npos)

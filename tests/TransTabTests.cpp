@@ -284,7 +284,7 @@ makeTrace(std::vector<uint32_t> Entries,
   return T;
 }
 
-// A trace installs over its head address, replacing the head's tier-1
+// A trace installs over its head address, replacing the head's baseline
 // translation; the other constituents keep their own translations (side
 // exits land on them).
 TEST(TransTab, TraceInstallReplacesHeadOnly) {
@@ -292,7 +292,6 @@ TEST(TransTab, TraceInstallReplacesHeadOnly) {
   TT.insert(makeT(0x1000, {0x2000}));
   Translation *B = TT.insert(makeT(0x2000, {0x3000}));
   Translation *C = TT.insert(makeT(0x3000));
-  B->Tier = C->Tier = 1;
 
   Translation *Tr = TT.insert(makeTrace({0x1000, 0x2000, 0x3000}));
   EXPECT_EQ(TT.find(0x1000), Tr);
@@ -337,10 +336,10 @@ TEST(TransTab, TraceEvictionUnchainsAndReenablesConstituents) {
   EXPECT_EQ(P->Chain[0], nullptr);
   EXPECT_EQ(TT.find(0x1000), nullptr);
 
-  // The head retranslates at tier 1: the parked predecessor relinks and
-  // execution through 0x1000 is re-enabled without dispatcher help.
+  // The head retranslates as a baseline block: the parked predecessor
+  // relinks and execution through 0x1000 is re-enabled without dispatcher
+  // help.
   Translation *A2 = TT.insert(makeT(0x1000, {0x2000}));
-  A2->Tier = 1;
   EXPECT_EQ(P->Chain[0], A2);
   // And the tail's own retranslation refills the head's slot.
   Translation *B2 = TT.insert(makeT(0x2000));

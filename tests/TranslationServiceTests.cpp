@@ -1,10 +1,10 @@
 //===-- tests/TranslationServiceTests.cpp - Tiered translation tests ------==//
 ///
 /// \file
-/// Tests for the TranslationService: the synchronous pipeline (cold
-/// blocks, hot superblocks, traces), hot promotions served from the
-/// persistent cache, the end-to-end determinism of a tiered run under a
-/// full Core, and the trace-tier accounting identity.
+/// Tests for the TranslationService: the synchronous pipeline (baseline
+/// blocks and traces), the end-to-end determinism of a tiered run under a
+/// full Core, the two-tier invariant (no translation between baseline and
+/// trace), and the trace-tier accounting identity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,11 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <filesystem>
 #include <memory>
-
-#include <unistd.h>
 
 using namespace vg;
 using namespace vg::vg1;
@@ -39,13 +37,10 @@ constexpr uint32_t CodeBase = 0x1000;
 
 /// Minimal host: counts the callbacks.
 struct StubHost : TranslationHost {
-  bool MarkCacheable = false; ///< mimic the Core's no-SMC-prelude decision
   unsigned Notes = 0;
 
-  void setupTranslation(TranslationOptions &, uint32_t, bool,
-                        Translation *Raw) override {
-    Raw->Cacheable = MarkCacheable;
-  }
+  void setupTranslation(TranslationOptions &, uint32_t,
+                        Translation *) override {}
   void noteTranslation(uint32_t, const Translation &, double) override {
     ++Notes;
   }
@@ -82,17 +77,11 @@ struct ServiceFixture {
 
 TEST(TranslationService, SyncTranslateInsertsAndAccounts) {
   ServiceFixture F;
-  Translation *T = F.XS.translateSync(F.Blocks[0], /*Hot=*/false);
+  Translation *T = F.XS.translateSync(F.Blocks[0]);
   ASSERT_NE(T, nullptr);
   EXPECT_EQ(F.XS.transTab().find(F.Blocks[0]), T);
   EXPECT_EQ(T->Tier, 0u);
   EXPECT_EQ(F.Host.Notes, 1u);
-
-  // A hot retranslation replaces the cold block in place.
-  Translation *T2 = F.XS.translateSync(F.Blocks[0], /*Hot=*/true);
-  EXPECT_EQ(F.XS.transTab().find(F.Blocks[0]), T2);
-  EXPECT_EQ(T2->Tier, 1u);
-  EXPECT_EQ(F.Host.Notes, 2u);
   EXPECT_EQ(F.XS.jitStats().TraceInstalled, 0u); // traces only
 }
 
@@ -143,7 +132,7 @@ TEST(TranslationService, BlockAtPageEndStopsWhereBytewiseFetchDoes) {
 
       StubHost Host;
       TranslationService XS(Host, Mem, 1u << 4);
-      Translation *T = XS.translateSync(PageEnd - Lead, /*Hot=*/false);
+      Translation *T = XS.translateSync(PageEnd - Lead);
       ASSERT_NE(T, nullptr);
       ASSERT_EQ(T->Extents.size(), 1u);
       EXPECT_EQ(T->Extents[0].second, Stop) << Lead << " " << NextMapped;
@@ -201,8 +190,8 @@ TEST(TranslationService, HashLiveMatchesBytewiseAcrossUnmappedPage) {
 // Traces (tier 2)
 //===----------------------------------------------------------------------===//
 
-/// Two superblocks that chain A -> B (A ends at a BCC whose fall-through
-/// is B), so a TraceSpec{A, B} is a real stitchable path.
+/// Two baseline blocks that chain A -> B (A ends at a BCC whose
+/// fall-through is B), so a TraceSpec{A, B} is a real stitchable path.
 struct TraceFixture {
   GuestMemory Mem;
   StubHost Host;
@@ -215,7 +204,7 @@ struct TraceFixture {
     Label Done = Code.newLabel();
     A = Code.here();
     Code.cmpi(Reg::R1, 0);
-    Code.beq(Done); // unlikely side exit; superblock A ends here
+    Code.beq(Done); // unlikely side exit; block A ends here
     B = Code.here();
     Code.addi(Reg::R0, Reg::R0, 1);
     Code.ret();
@@ -235,15 +224,15 @@ struct TraceFixture {
 // counts it, and leaves the tail constituent resident for side exits.
 TEST(TranslationService, SyncTranslateTraceInstallsImmediately) {
   TraceFixture F;
-  F.XS.translateSync(F.A, /*Hot=*/true);
-  F.XS.translateSync(F.B, /*Hot=*/true);
+  F.XS.translateSync(F.A);
+  F.XS.translateSync(F.B);
   Translation *Tr = F.XS.translateTrace(F.Spec);
   ASSERT_NE(Tr, nullptr);
   EXPECT_EQ(Tr->Tier, 2u);
   EXPECT_EQ(Tr->TraceEntries, (std::vector<uint32_t>{F.A, F.B}));
   EXPECT_EQ(F.XS.transTab().find(F.A), Tr);
   ASSERT_NE(F.XS.transTab().find(F.B), nullptr);
-  EXPECT_EQ(F.XS.transTab().find(F.B)->Tier, 1u);
+  EXPECT_EQ(F.XS.transTab().find(F.B)->Tier, 0u);
   EXPECT_EQ(F.XS.jitStats().TraceRequests, 1u);
   EXPECT_EQ(F.XS.jitStats().TraceInstalled, 1u);
   EXPECT_EQ(F.XS.jitStats().TraceAborts, 0u);
@@ -267,7 +256,7 @@ GuestImage loopProgram() {
   Label Str = Data.boundLabel();
   Data.emitString("done\n");
   // Nested loops: the inner body and the outer body both cross any small
-  // hot threshold, producing several hot promotions.
+  // trace-head threshold, so several heads are walked for traces.
   Code.movi(Reg::R1, 0);
   Label Outer = Code.boundLabel();
   Code.movi(Reg::R2, 0);
@@ -305,7 +294,8 @@ std::string extractTrace(const std::string &Output) {
 TEST(TranslationService, TieredRunIsDeterministic) {
   GuestImage Img = loopProgram();
   std::vector<std::string> Opts = {"--chaining=yes", "--hot-threshold=3",
-                                   "--trace-events=yes", "--trace-dump=yes"};
+                                   "--trace-tier=yes", "--trace-events=yes",
+                                   "--trace-dump=yes"};
 
   Nulgrind T1, T2;
   RunReport A = runUnderCore(Img, &T1, Opts);
@@ -384,12 +374,14 @@ uint64_t translationDigest(const Translation &T) {
 }
 
 /// Per-translation digests keyed by insertion order: translations the
-/// table retires mid-run (hot promotions, trace installs, SMC) arrive
-/// through the retire hook, the survivors are collected at fini.
+/// table retires mid-run (trace installs, SMC, eviction) arrive through
+/// the retire hook, the survivors are collected at fini.
 struct DigestLog {
   std::vector<std::pair<uint64_t, uint64_t>> SeqDigest;
+  std::array<size_t, 256> TierCounts{}; ///< translations made, by tier
   void add(const Translation &T) {
     SeqDigest.push_back({T.Seq, translationDigest(T)});
+    ++TierCounts[T.Tier];
   }
   uint64_t fold() {
     std::sort(SeqDigest.begin(), SeqDigest.end());
@@ -423,11 +415,10 @@ private:
 
 enum class DigestTool { Nulgrind, ICntInline, ICntCCall, Memcheck };
 
-/// Runs \p Img under \p Kind and folds every translation the run made.
-uint64_t runDigest(const GuestImage &Img, const std::string &Stdin,
-                   DigestTool Kind, const std::vector<std::string> &Opts,
-                   size_t &NumTranslations) {
-  DigestLog Log;
+/// Runs \p Img under \p Kind, logging every translation the run made.
+RunReport runLogged(const GuestImage &Img, const std::string &Stdin,
+                    DigestTool Kind, const std::vector<std::string> &Opts,
+                    DigestLog &Log) {
   std::unique_ptr<Tool> T;
   switch (Kind) {
   case DigestTool::Nulgrind:
@@ -443,22 +434,22 @@ uint64_t runDigest(const GuestImage &Img, const std::string &Stdin,
     T = std::make_unique<Digesting<Memcheck>>(Log);
     break;
   }
-  RunReport R = runUnderCoreWith(
+  return runUnderCoreWith(
       Img, T.get(), Opts, Stdin, ~0ull, [&Log](Core &C) {
         C.transTab().setRetireHook(
             [&Log](std::unique_ptr<Translation> Tr) { Log.add(*Tr); });
       });
-  EXPECT_TRUE(R.Completed);
-  NumTranslations += Log.SeqDigest.size();
-  return Log.fold();
 }
 
-// Every block crafty, mcf and gcc execute at scale 1, plus six seeded
-// fuzz programs, translated under five tool configurations: the digest of
-// the generated code must not move. A change to the pipeline's data
-// structures keeps this value; a change to what it emits must update it
-// deliberately (and say why).
-TEST(TranslationService, PipelineOutputDigestIsPinned) {
+struct DigestCfg {
+  DigestTool Kind;
+  std::vector<std::string> Opts;
+};
+
+/// Every block crafty, mcf and gcc execute at scale 1, plus six seeded
+/// fuzz programs, translated under each of \p Cfgs: one FNV-1a value over
+/// the per-run digests, and the number of translations in \p N.
+uint64_t pipelineDigest(const std::vector<DigestCfg> &Cfgs, size_t &N) {
   struct Prog {
     GuestImage Img;
     std::string Stdin;
@@ -472,78 +463,66 @@ TEST(TranslationService, PipelineOutputDigestIsPinned) {
     fuzz::FuzzProgram P = fuzz::generate(Seed * 7919, GO);
     Progs.push_back({fuzz::render(P), P.StdinData});
   }
-  struct Cfg {
-    DigestTool Kind;
-    std::vector<std::string> Opts;
-  };
-  const std::vector<Cfg> Cfgs = {
-      {DigestTool::Nulgrind, {}},
-      {DigestTool::ICntInline, {}},
-      {DigestTool::ICntCCall, {}},
-      {DigestTool::Memcheck, {}},
-      {DigestTool::Memcheck,
-       {"--chaining=yes", "--hot-threshold=50", "--trace-tier=yes"}}};
-
   uint64_t H = FnvBasis;
-  size_t N = 0;
-  for (const Cfg &C : Cfgs)
+  for (const DigestCfg &C : Cfgs)
     for (const Prog &P : Progs) {
-      uint64_t D = runDigest(P.Img, P.Stdin, C.Kind, C.Opts, N);
+      DigestLog Log;
+      RunReport R = runLogged(P.Img, P.Stdin, C.Kind, C.Opts, Log);
+      EXPECT_TRUE(R.Completed);
+      N += Log.SeqDigest.size();
+      uint64_t D = Log.fold();
       fnv(H, &D, sizeof(D));
     }
-  EXPECT_GT(N, 1000u);
-  EXPECT_EQ(H, 0x3b2e3a76bf1566fbULL) << "translations digested: " << N;
+  return H;
 }
 
-//===----------------------------------------------------------------------===//
-// The persistent cache on the service's paths (accounting audit)
-//===----------------------------------------------------------------------===//
+// The generated code of the four untiered tool configurations must not
+// move. A change to the pipeline's data structures keeps this value; a
+// change to what it emits must update it deliberately (and say why).
+TEST(TranslationService, UntieredPipelineOutputDigestIsPinned) {
+  size_t N = 0;
+  uint64_t H = pipelineDigest({{DigestTool::Nulgrind, {}},
+                               {DigestTool::ICntInline, {}},
+                               {DigestTool::ICntCCall, {}},
+                               {DigestTool::Memcheck, {}}},
+                              N);
+  EXPECT_GT(N, 1000u);
+  EXPECT_EQ(H, 0xfe7b35f24cf62eeeULL) << "translations digested: " << N;
+}
 
-/// Scratch --tt-cache directory, removed on scope exit.
-struct CacheDir {
-  std::filesystem::path Path;
-  CacheDir() {
-    static int Counter = 0;
-    Path = std::filesystem::temp_directory_path() /
-           ("vgxs-cache-" + std::to_string(getpid()) + "-" +
-            std::to_string(Counter++));
-    std::filesystem::remove_all(Path);
-  }
-  ~CacheDir() {
-    std::error_code EC;
-    std::filesystem::remove_all(Path, EC);
-  }
-  std::string str() const { return Path.string(); }
-};
+// The same for tiered Memcheck: besides the emitted code, this pins which
+// blocks the trace tier chooses to stitch.
+TEST(TranslationService, TieredPipelineOutputDigestIsPinned) {
+  size_t N = 0;
+  uint64_t H = pipelineDigest(
+      {{DigestTool::Memcheck,
+        {"--chaining=yes", "--hot-threshold=50", "--trace-tier=yes"}}},
+      N);
+  EXPECT_GT(N, 500u);
+  EXPECT_EQ(H, 0xc5ee9b5613913facULL) << "translations digested: " << N;
+}
 
-// A hot promotion whose superblock is on disk installs straight from the
-// cache through the synchronous path, replacing the resident tier-1 block.
-TEST(TranslationService, HotPromotionServedFromCache) {
-  CacheDir Dir;
-  {
-    ServiceFixture A;
-    A.Host.MarkCacheable = true;
-    A.XS.attachCache(std::make_unique<TransCache>(Dir.str(), 0, /*CH=*/1));
-    A.XS.translateSync(A.Blocks[0], /*Hot=*/true); // seeds the hot entry
-    EXPECT_EQ(A.XS.jitStats().CacheWrites, 1u);
+// Two tiers: under the tiered configuration every translation a run makes
+// is a baseline block or a trace, and traces still form. Checked on the
+// Table 2 programs with the most and the least biased traces.
+TEST(TranslationService, TieredRunsMakeOnlyBaselineBlocksAndTraces) {
+  for (const char *Name : {"vortex", "swim"}) {
+    GuestImage Img = buildWorkload(Name, 2);
+    for (DigestTool Kind : {DigestTool::Nulgrind, DigestTool::Memcheck}) {
+      SCOPED_TRACE(std::string(Name) +
+                   (Kind == DigestTool::Memcheck ? " memcheck" : " nulgrind"));
+      DigestLog Log;
+      RunReport R = runLogged(
+          Img, "", Kind,
+          {"--chaining=yes", "--hot-threshold=50", "--trace-tier=yes"}, Log);
+      ASSERT_TRUE(R.Completed);
+      EXPECT_GT(Log.TierCounts[0], 0u);
+      EXPECT_GT(Log.TierCounts[2], 0u);
+      EXPECT_EQ(Log.TierCounts[0] + Log.TierCounts[2], Log.SeqDigest.size());
+      EXPECT_GT(R.Stats.TracesFormed, 0u);
+      EXPECT_GE(R.Stats.HotPromotions, R.Stats.TracesFormed);
+    }
   }
-  ServiceFixture B;
-  B.Host.MarkCacheable = true;
-  B.XS.attachCache(std::make_unique<TransCache>(Dir.str(), 0, /*CH=*/1));
-  Translation *Cold = B.XS.translateSync(B.Blocks[0], false);
-  ASSERT_NE(Cold, nullptr);
-  EXPECT_EQ(B.XS.jitStats().CacheMisses, 1u);
-
-  Translation *Hot = B.XS.translateSync(B.Blocks[0], /*Hot=*/true);
-  ASSERT_NE(Hot, nullptr);
-  EXPECT_EQ(Hot->Tier, 1u);
-  EXPECT_EQ(B.XS.transTab().find(B.Blocks[0]), Hot);
-  const JitStats &J = B.XS.jitStats();
-  EXPECT_EQ(J.CacheHits, 1u);
-  EXPECT_EQ(J.CacheMisses, 1u);
-  EXPECT_EQ(J.CacheRejects, 0u);
-  EXPECT_EQ(J.CacheWrites, 1u); // the cold miss; hits are not re-written
-  EXPECT_EQ(B.Host.Notes, 2u);  // both installs were accounted
 }
 
 } // namespace
