@@ -144,9 +144,10 @@ tsan() (
   ctest --preset tsan
 )
 
-# The translation pipeline's unit, golden, JIT and persistent-cache tests
-# (the `pipeline` label: its dense tables are indexed by tmp, vreg and
-# guest-state byte offset, and the cache decodes bytes read from disk) and
+# The translation pipeline's unit, golden, JIT, property and
+# persistent-cache tests (the `pipeline` label: its dense tables are indexed
+# by tmp, vreg and guest-state byte offset and reused from pass to pass,
+# and the cache decodes bytes read from disk) and
 # the dispatch loop with both schedulers (the `dispatch`
 # label: the QSBR limbo list frees translations a shard may still hold),
 # via the asan preset: any out-of-bounds index, use-after-free or
@@ -157,8 +158,8 @@ asan() (
   cmake --build --preset asan -j \
       --target test_ir --target test_hvm --target test_irgolden \
       --target test_jit --target test_translationservice \
-      --target test_transcache --target test_core --target test_schedsignal \
-      --target test_mtsched >/dev/null
+      --target test_transcache --target test_properties --target test_core \
+      --target test_schedsignal --target test_mtsched >/dev/null
   ctest --preset asan
 )
 

@@ -135,11 +135,6 @@ public:
   SignalEngine &signals() { return *Signals; }
   DispatchLoop &dispatcher() { return *Dispatch; }
 
-  Profiler *profiler() { return Prof.get(); }
-  /// Non-null under --fault-inject / --trace-events.
-  FaultPlan *faultPlan() { return Faults.get(); }
-  EventTracer *tracer() { return Tracer.get(); }
-
   // --- start-up (Section 3.3) --------------------------------------------
   /// Loads the client image: maps text/data (firing new_mem_startup, R5),
   /// sets up the initial thread's stack and registers, creates the brk

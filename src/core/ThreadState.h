@@ -89,9 +89,6 @@ public:
     std::memcpy(&V, Guest + vg1::gso::fpr(I), 8);
     return V;
   }
-  void setFpr(unsigned I, double V) {
-    std::memcpy(Guest + vg1::gso::fpr(I), &V, 8);
-  }
   uint32_t getPC() const {
     uint32_t V;
     std::memcpy(&V, Guest + vg1::gso::PC, 4);
@@ -104,9 +101,6 @@ public:
     uint32_t V;
     std::memcpy(&V, Guest + vg1::gso::ShadowOffset + vg1::gso::gpr(I), 4);
     return V;
-  }
-  void setShadowGpr(unsigned I, uint32_t V) {
-    std::memcpy(Guest + vg1::gso::ShadowOffset + vg1::gso::gpr(I), &V, 4);
   }
 
   // --- CpuView (used by the simulated kernel) ----------------------------

@@ -87,13 +87,17 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   }
   const ir::TraceOptConfig *TC = IsTrace ? &TraceCfg : nullptr;
 
+  // The optimisation passes' tables, shared by Phases 2 and 4.
+  ir::OptStorage Storage;
+
   // Phase 2: flatten + optimisation 1.
   std::unique_ptr<ir::IRSB> SB;
   {
     Profiler::Timer Tm(Prof, ProfPhase::Optimise1);
     SB = ir::flatten(*Dis.SB);
-    if (Opts.RunOptimise1)
-      ir::optimise1(*SB, Spec, Opts.Preserve, TC);
+    if (Opts.RunOptimise1 &&
+        ir::optimise1(*SB, Spec, Opts.Preserve, TC, &Storage) && Prof)
+      Prof->noteOptimise1SecondRound();
   }
   if (Opts.Verify)
     verifyIR(*SB, /*RequireFlat=*/true, "optimisation 1");
@@ -118,7 +122,7 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   // Phase 4: optimisation 2.
   if (Opts.RunOptimise2) {
     Profiler::Timer Tm(Prof, ProfPhase::Optimise2);
-    ir::optimise2(*SB, Spec, Opts.Preserve, TC);
+    ir::optimise2(*SB, Spec, Opts.Preserve, TC, &Storage);
   }
   if (Opts.Verify)
     verifyIR(*SB, /*RequireFlat=*/true, "optimisation 2");

@@ -3,6 +3,7 @@
 #include "ir/IROpt.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace vg;
 using namespace vg::ir;
@@ -160,19 +161,20 @@ Range rangeOfGet(const Expr *E) {
 /// pure atom copies.
 class PropFold {
 public:
-  PropFold(IRSB &SB, const SpecFn &Spec)
-      : SB(SB), Spec(Spec), Env(SB.numTmps(), nullptr) {}
+  PropFold(IRSB &SB, const SpecFn &Spec, std::vector<Expr *> &Env,
+           std::vector<Stmt *> &Out)
+      : SB(SB), Spec(Spec), Env(Env), Out(Out) {}
 
   void run() {
-    std::vector<Stmt *> NewStmts;
-    NewStmts.reserve(SB.stmts().size());
-    Out = &NewStmts;
+    Env.assign(SB.numTmps(), nullptr);
+    Out.clear();
     for (Stmt *S : SB.stmts()) {
       if (!rewriteStmt(S))
         continue; // absorbed into environment
-      NewStmts.push_back(S);
+      Out.push_back(S);
     }
-    SB.setStmts(std::move(NewStmts));
+    // The old list's storage becomes the next pass's output buffer.
+    SB.stmts().swap(Out);
     SB.setNext(subst(SB.next()), SB.endJumpKind());
   }
 
@@ -191,7 +193,7 @@ private:
     S->Kind = StmtKind::WrTmp;
     S->Tmp = T;
     S->Data = N;
-    Out->push_back(S);
+    Out.push_back(S);
     return SB.rdTmp(T);
   }
 
@@ -445,23 +447,188 @@ private:
 
   IRSB &SB;
   const SpecFn &Spec;
-  std::vector<Expr *> Env; ///< tmp -> the atom it copies (null: none)
-  std::vector<Stmt *> *Out = nullptr;
+  std::vector<Expr *> &Env; ///< tmp -> the atom it copies (null: none)
+  std::vector<Stmt *> &Out;
+};
+
+/// Disjoint guest-state byte ranges, each owning its bytes, with a value
+/// per range: RedundantGet's known slot contents and DeadPut's pending
+/// overwrites. A byte's owner is one table read and clear() is O(1): it
+/// only moves the floor below which recorded slots read as dead.
+class RangeOwners {
+public:
+  struct Slot {
+    Range R;
+    Expr *Val;
+  };
+
+  RangeOwners() {
+    // A guest state and its shadow copy span a few hundred bytes; reserve
+    // past that so the table rarely regrows (larger offsets still work).
+    Owner.reserve(512);
+  }
+
+  /// The live slot owning byte \p B, or null.
+  const Slot *ownerOf(uint32_t B) const {
+    return B < Owner.size() && Owner[B] > Floor ? &Slots[Owner[B] - 1]
+                                                 : nullptr;
+  }
+
+  /// True if no byte of \p R is owned.
+  bool isFree(Range R) const {
+    uint32_t Hi =
+        std::min<uint32_t>(R.Hi, static_cast<uint32_t>(Owner.size()));
+    for (uint32_t B = R.Lo; B < Hi; ++B)
+      if (Owner[B] > Floor)
+        return false;
+    return true;
+  }
+
+  /// Drops every slot with a byte in \p R.
+  void invalidate(Range R) {
+    uint32_t Hi =
+        std::min<uint32_t>(R.Hi, static_cast<uint32_t>(Owner.size()));
+    for (uint32_t B = R.Lo; B < Hi; ++B)
+      if (Owner[B] > Floor)
+        release(Slots[Owner[B] - 1].R);
+  }
+
+  /// Records \p R, whose bytes must be free, as a slot holding \p Val.
+  void insert(Range R, Expr *Val) {
+    if (Owner.size() < R.Hi)
+      Owner.resize(R.Hi, 0);
+    Slots.push_back(Slot{R, Val});
+    std::fill(Owner.begin() + R.Lo, Owner.begin() + R.Hi,
+              static_cast<uint32_t>(Slots.size()));
+  }
+
+  /// Drops every slot for which \p Pred holds (a linear walk).
+  template <class Fn> void dropIf(Fn Pred) {
+    for (uint32_t I = Floor; I != Slots.size(); ++I)
+      if (isLive(I) && Pred(Slots[I].R))
+        release(Slots[I].R);
+  }
+
+  /// Calls \p F on the range of every live slot (a linear walk).
+  template <class Fn> void forEachLive(Fn F) const {
+    for (uint32_t I = Floor; I != Slots.size(); ++I)
+      if (isLive(I))
+        F(Slots[I].R);
+  }
+
+  void clear() {
+    if (Slots.size() < MaxSlots) {
+      Floor = static_cast<uint32_t>(Slots.size());
+      return;
+    }
+    // Bound the storage: forget every slot the slow way, once in a while.
+    std::fill(Owner.begin(), Owner.end(), 0);
+    Slots.clear();
+    Floor = 0;
+  }
+
+private:
+  static constexpr size_t MaxSlots = 4096;
+
+  bool isLive(uint32_t I) const {
+    const Range &R = Slots[I].R;
+    return R.Lo < R.Hi && Owner[R.Lo] == I + 1;
+  }
+
+  void release(Range R) {
+    std::fill(Owner.begin() + R.Lo, Owner.begin() + R.Hi, 0);
+  }
+
+  /// Every slot recorded since the storage was last reset; those below
+  /// Floor were recorded before the last clear() and are dead.
+  std::vector<Slot> Slots;
+  uint32_t Floor = 0;
+  /// Guest-state byte offset -> 1 + index in Slots of the slot that last
+  /// owned it (live only if above Floor), or 0.
+  std::vector<uint32_t> Owner;
+};
+
+/// DeadPut's pending set: guest-state ranges that are overwritten before
+/// any read on every path from the current statement. It answers as a
+/// plain list of ranges would ("is R inside one pending range", "drop
+/// every range R overlaps"), in O(bytes of R) per query while the ranges
+/// are disjoint. A range that partly overlaps a pending one, and any
+/// empty range, goes to a short overflow list that is scanned instead.
+/// The VG1 front end and the tools write each slot at one width, so the
+/// list stays empty in practice.
+class PendingSet {
+public:
+  bool covers(Range R) const {
+    bool Found = false;
+    if (R.Lo < R.Hi) {
+      const RangeOwners::Slot *O = Disjoint.ownerOf(R.Lo);
+      Found = O && O->R.covers(R);
+    } else {
+      Disjoint.forEachLive([&](Range P) { Found = Found || P.covers(R); });
+    }
+    for (Range P : Overflow)
+      Found = Found || P.covers(R);
+    return Found;
+  }
+
+  void add(Range R) {
+    if (R.Lo < R.Hi && Disjoint.isFree(R)) {
+      Disjoint.insert(R, nullptr);
+      return;
+    }
+    const RangeOwners::Slot *O =
+        R.Lo < R.Hi ? Disjoint.ownerOf(R.Lo) : nullptr;
+    if (O && O->R.Lo == R.Lo && O->R.Hi == R.Hi)
+      return; // already pending
+    Overflow.push_back(R);
+  }
+
+  /// Drops every pending range that overlaps \p R.
+  void remove(Range R) {
+    if (R.Lo < R.Hi)
+      Disjoint.invalidate(R);
+    else
+      Disjoint.dropIf([R](Range P) { return P.overlaps(R); });
+    Overflow.erase(std::remove_if(Overflow.begin(), Overflow.end(),
+                                  [R](Range P) { return P.overlaps(R); }),
+                   Overflow.end());
+  }
+
+  /// Keeps, of every pending range P, the parts inside some range of
+  /// \p Keep (the set becomes the pairwise intersections).
+  void intersect(const Range *Keep, unsigned NKeep) {
+    Old.clear();
+    Disjoint.forEachLive([this](Range P) { Old.push_back(P); });
+    Old.insert(Old.end(), Overflow.begin(), Overflow.end());
+    clear();
+    for (unsigned I = 0; I != NKeep; ++I)
+      for (Range P : Old) {
+        Range R{std::max(Keep[I].Lo, P.Lo), std::min(Keep[I].Hi, P.Hi)};
+        if (R.Lo < R.Hi)
+          add(R);
+      }
+  }
+
+  void clear() {
+    Disjoint.clear();
+    Overflow.clear();
+  }
+
+private:
+  RangeOwners Disjoint;
+  std::vector<Range> Overflow;
+  std::vector<Range> Old; ///< intersect's copy of the old set
 };
 
 /// Redundant Get elimination: forward pass tracking the current contents of
 /// guest-state slots, from PUTs seen and previous GETs.
 class RedundantGet {
 public:
-  RedundantGet(IRSB &SB, const TraceOptConfig *Trace = nullptr)
-      : SB(SB), Trace(Trace) {
-    // A guest state and its shadow copy span a few hundred bytes; reserve
-    // past that so the table rarely regrows (larger offsets still work).
-    Owner.reserve(512);
-    Slots.reserve(SB.stmts().size());
-  }
+  RedundantGet(IRSB &SB, RangeOwners &Slots, const TraceOptConfig *Trace)
+      : SB(SB), Trace(Trace), Slots(Slots) {}
 
   void run() {
+    Slots.clear();
     for (Stmt *S : SB.stmts()) {
       switch (S->Kind) {
       case StmtKind::WrTmp:
@@ -477,23 +644,24 @@ public:
         break;
       case StmtKind::Put: {
         Range R = rangeOfPut(S);
-        invalidate(R);
         if (S->Data->isAtom())
           record(R, S->Data);
+        else
+          Slots.invalidate(R);
         break;
       }
       case StmtKind::Dirty:
         // An unannotated helper may touch any guest-state slot. Trace tier
         // only: a helper declared StateFxComplete is exactly its Fx list,
         // so probe/check calls between former block seams stop killing
-        // Get/Put forwarding (gated on Trace to keep tiers 0/1 untouched).
+        // Get/Put forwarding (gated on Trace to keep tier 0 untouched).
         if (S->Fx.empty() &&
             !(Trace && S->CalleeFn && S->CalleeFn->StateFxComplete)) {
-          clearAll();
+          Slots.clear();
         } else {
           for (const GuestFx &F : S->Fx)
             if (F.IsWrite)
-              invalidate(Range{F.Offset, F.Offset + F.Size});
+              Slots.invalidate(Range{F.Offset, F.Offset + F.Size});
         }
         break;
       default:
@@ -503,57 +671,21 @@ public:
   }
 
 private:
-  /// A guest-state range whose current contents are a known atom. Live
-  /// slots never overlap, so each byte has at most one owner.
-  struct Slot {
-    Range R;
-    Expr *Val;
-  };
-
   Expr *findExact(Range R, Ty T) const {
-    if (R.Lo >= Owner.size() || !Owner[R.Lo])
-      return nullptr;
-    const Slot &S = Slots[Owner[R.Lo] - 1];
-    return S.R.Lo == R.Lo && S.R.Hi == R.Hi && S.Val->T == T ? S.Val
-                                                             : nullptr;
-  }
-
-  void release(Range R) {
-    std::fill(Owner.begin() + R.Lo, Owner.begin() + R.Hi, 0);
-  }
-
-  /// Drops every slot overlapping \p R.
-  void invalidate(Range R) {
-    uint32_t Hi =
-        std::min<uint32_t>(R.Hi, static_cast<uint32_t>(Owner.size()));
-    for (uint32_t B = R.Lo; B < Hi; ++B)
-      if (uint32_t Idx = Owner[B])
-        release(Slots[Idx - 1].R);
+    const RangeOwners::Slot *S = Slots.ownerOf(R.Lo);
+    return S && S->R.Lo == R.Lo && S->R.Hi == R.Hi && S->Val->T == T
+               ? S->Val
+               : nullptr;
   }
 
   void record(Range R, Expr *Val) {
-    invalidate(R);
-    if (Owner.size() < R.Hi)
-      Owner.resize(R.Hi, 0);
-    Slots.push_back(Slot{R, Val});
-    std::fill(Owner.begin() + R.Lo, Owner.begin() + R.Hi,
-              static_cast<uint32_t>(Slots.size()));
-  }
-
-  /// Forgets every slot in time proportional to the slots recorded since
-  /// the last clear, not to the size of the guest state.
-  void clearAll() {
-    for (const Slot &S : Slots)
-      release(S.R);
-    Slots.clear();
+    Slots.invalidate(R);
+    Slots.insert(R, Val);
   }
 
   IRSB &SB;
   const TraceOptConfig *Trace;
-  /// Slots recorded since the last clearAll (dead ones included).
-  std::vector<Slot> Slots;
-  /// Guest-state byte offset -> 1 + index in Slots of its live owner, or 0.
-  std::vector<uint32_t> Owner;
+  RangeOwners &Slots;
 };
 
 /// Redundant Put elimination (backward): a PUT whose slot is overwritten by
@@ -562,35 +694,40 @@ private:
 /// optimisation (paper Section 3.7, Phase 2).
 class DeadPut {
 public:
-  DeadPut(IRSB &SB, const PreservedPuts &Preserve,
-          const TraceOptConfig *Trace = nullptr)
-      : SB(SB), Preserve(Preserve), Trace(Trace) {}
+  DeadPut(IRSB &SB, PendingSet &Pending, const PreservedPuts &Preserve,
+          const TraceOptConfig *Trace)
+      : SB(SB), Preserve(Preserve), Trace(Trace), Pending(Pending) {}
 
   void run() {
     auto &Stmts = SB.stmts();
-    std::vector<Stmt *> Kept;
-    Kept.reserve(Stmts.size());
-    // Walk backwards. Pending = slots that will be overwritten.
-    if (Trace)
-      Pending = takenPendingRanges(nullptr); // liveness at the block end
+    // Walk backwards. Pending = slots that will be overwritten. Kept
+    // statements are packed in place towards the end of the list.
+    Pending.clear();
+    if (Trace) {
+      Range Taken[3];
+      unsigned N = takenPendingRanges(nullptr, Taken); // block-end liveness
+      for (unsigned I = 0; I != N; ++I)
+        Pending.add(Taken[I]);
+    }
+    size_t Out = Stmts.size();
     for (size_t I = Stmts.size(); I-- > 0;) {
       Stmt *S = Stmts[I];
       bool Keep = true;
       switch (S->Kind) {
       case StmtKind::Put: {
         Range R = rangeOfPut(S);
-        if (!Preserve.covers(S->Offset) && isFullyPending(R)) {
+        if (!Preserve.covers(S->Offset) && Pending.covers(R)) {
           Keep = false;
           if (Trace && Trace->Stats && overlapsCC(R))
             ++Trace->Stats->DeadFlagPuts;
         } else {
-          addPending(R);
+          Pending.add(R);
         }
         break;
       }
       case StmtKind::WrTmp:
         if (S->Data->Kind == ExprKind::Get)
-          removePending(rangeOfGet(S->Data));
+          Pending.remove(rangeOfGet(S->Data));
         break;
       case StmtKind::Dirty:
         // See RedundantGet: a StateFxComplete helper is its Fx list.
@@ -599,7 +736,7 @@ public:
           Pending.clear();
         } else {
           for (const GuestFx &F : S->Fx)
-            removePending(Range{F.Offset, F.Offset + F.Size});
+            Pending.remove(Range{F.Offset, F.Offset + F.Size});
         }
         break;
       case StmtKind::Exit:
@@ -608,15 +745,9 @@ public:
           // barrier: a Put is dead only if overwritten on the taken path
           // (exit-target liveness) AND on the fall-through path (current
           // Pending), so intersect the two sets.
-          std::vector<Range> Taken = takenPendingRanges(S);
-          std::vector<Range> Isect;
-          for (Range T : Taken)
-            for (Range P : Pending) {
-              Range R{std::max(T.Lo, P.Lo), std::min(T.Hi, P.Hi)};
-              if (R.Lo < R.Hi)
-                Isect.push_back(R);
-            }
-          Pending = std::move(Isect);
+          Range Taken[3];
+          unsigned N = takenPendingRanges(S, Taken);
+          Pending.intersect(Taken, N);
         } else {
           Pending.clear();
         }
@@ -625,39 +756,32 @@ public:
         break;
       }
       if (Keep)
-        Kept.push_back(S);
+        Stmts[--Out] = S;
     }
-    std::reverse(Kept.begin(), Kept.end());
-    SB.setStmts(std::move(Kept));
+    Stmts.erase(Stmts.begin(), Stmts.begin() + Out);
   }
 
 private:
-  bool isFullyPending(Range R) {
-    for (Range P : Pending)
-      if (P.covers(R))
-        return true;
-    return false;
-  }
-
   /// Guest-state ranges guaranteed to be overwritten, before any read,
   /// once this exit is taken (\p S null = the fall-off-the-end next).
   /// The PC slot is unconditional: every executor exit path rewrites it.
   /// The CC thunk (and its shadow mirror) joins when the proven-Boring
-  /// target overwrites the whole thunk before reading it.
-  std::vector<Range> takenPendingRanges(const Stmt *S) const {
-    std::vector<Range> T;
+  /// target overwrites the whole thunk before reading it. Fills \p T and
+  /// returns how many ranges it holds.
+  unsigned takenPendingRanges(const Stmt *S, Range (&T)[3]) const {
+    unsigned N = 0;
     if (Trace->PCHi > Trace->PCLo)
-      T.push_back(Range{Trace->PCLo, Trace->PCHi});
+      T[N++] = Range{Trace->PCLo, Trace->PCHi};
     bool CCDead = S ? (S->JK == JumpKind::Boring &&
                        Trace->flagsDeadAtTarget(S->DstPC))
                     : Trace->FlagsDeadAtEnd;
     if (CCDead && Trace->CCHi > Trace->CCLo) {
-      T.push_back(Range{Trace->CCLo, Trace->CCHi});
+      T[N++] = Range{Trace->CCLo, Trace->CCHi};
       if (Trace->ShadowOffset)
-        T.push_back(Range{Trace->CCLo + Trace->ShadowOffset,
-                          Trace->CCHi + Trace->ShadowOffset});
+        T[N++] = Range{Trace->CCLo + Trace->ShadowOffset,
+                       Trace->CCHi + Trace->ShadowOffset};
     }
-    return T;
+    return N;
   }
 
   bool overlapsCC(Range R) const {
@@ -669,23 +793,10 @@ private:
     return CC.overlaps(R) || (Trace->ShadowOffset && SCC.overlaps(R));
   }
 
-  void addPending(Range R) { Pending.push_back(R); }
-
-  void removePending(Range R) {
-    for (size_t I = 0; I != Pending.size();) {
-      if (Pending[I].overlaps(R)) {
-        Pending[I] = Pending.back();
-        Pending.pop_back();
-      } else {
-        ++I;
-      }
-    }
-  }
-
   IRSB &SB;
   const PreservedPuts &Preserve;
   const TraceOptConfig *Trace;
-  std::vector<Range> Pending;
+  PendingSet &Pending;
 };
 
 /// The identity of a pure flat-IR right-hand side, or of a shadow probe's
@@ -727,16 +838,23 @@ struct ExprKey {
   }
 };
 
-/// Open-addressing map ExprKey -> TmpId for one pass over one block. Its
-/// capacity is fixed up front from the number of statements, and clear()
-/// is O(1): entries from an older generation read as empty.
+/// Open-addressing map ExprKey -> TmpId for one pass over one block.
+/// reset() sizes it for the block's statements, growing only when a block
+/// needs more than any before it, and clears it in O(1): entries from an
+/// older generation read as empty.
 class KeyTable {
 public:
-  explicit KeyTable(size_t MaxEntries) {
+  void reset(size_t MaxEntries) {
     size_t Cap = 16;
     while (Cap < 2 * MaxEntries)
       Cap *= 2;
-    Index.resize(Cap);
+    if (Cap > Index.size()) {
+      Index.assign(Cap, Bucket{});
+      Gen = 1;
+    } else {
+      ++Gen;
+    }
+    Entries.clear();
     Entries.reserve(MaxEntries);
   }
 
@@ -776,9 +894,12 @@ private:
 /// invalidate them); Gets are handled by RedundantGet instead.
 class CSE {
 public:
-  explicit CSE(IRSB &SB) : SB(SB), Table(SB.stmts().size()) {}
+  CSE(IRSB &SB, KeyTable &Table) : SB(SB), Table(Table) {}
 
-  void run() {
+  /// Returns true if some right-hand side was replaced by an earlier tmp.
+  bool run() {
+    Table.reset(SB.stmts().size());
+    bool Replaced = false;
     for (Stmt *S : SB.stmts()) {
       if (S->Kind != StmtKind::WrTmp)
         continue;
@@ -786,9 +907,12 @@ public:
       if (!keyOf(S->Data, K))
         continue;
       TmpId Prev = Table.findOrInsert(K, S->Tmp);
-      if (Prev != S->Tmp)
+      if (Prev != S->Tmp) {
         S->Data = SB.rdTmp(Prev); // PropFold folds the copy away
+        Replaced = true;
+      }
     }
+    return Replaced;
   }
 
 private:
@@ -819,21 +943,21 @@ private:
   }
 
   IRSB &SB;
-  KeyTable Table;
+  KeyTable &Table;
 };
 
 /// Dead code elimination: removes WrTmps whose temporaries are never used
 /// (backwards liveness in one pass, since flat IR defs precede uses).
 class DeadCode {
 public:
-  explicit DeadCode(IRSB &SB) : SB(SB) {}
+  DeadCode(IRSB &SB, std::vector<bool> &Live) : SB(SB), Live(Live) {}
 
   void run() {
     Live.assign(SB.numTmps(), false);
     markExpr(SB.next());
     auto &Stmts = SB.stmts();
-    std::vector<Stmt *> Kept;
-    Kept.reserve(Stmts.size());
+    // Kept statements are packed in place towards the end of the list.
+    size_t Out = Stmts.size();
     for (size_t I = Stmts.size(); I-- > 0;) {
       Stmt *S = Stmts[I];
       if (S->Kind == StmtKind::NoOp)
@@ -841,10 +965,9 @@ public:
       if (S->Kind == StmtKind::WrTmp && !Live[S->Tmp])
         continue; // dead def of a pure value
       markStmt(S);
-      Kept.push_back(S);
+      Stmts[--Out] = S;
     }
-    std::reverse(Kept.begin(), Kept.end());
-    SB.setStmts(std::move(Kept));
+    Stmts.erase(Stmts.begin(), Stmts.begin() + Out);
   }
 
 private:
@@ -922,10 +1045,11 @@ private:
 /// slow-path helper still runs per access and error counts are unchanged.
 class ShadowProbeCSE {
 public:
-  ShadowProbeCSE(IRSB &SB, TraceOptStats *Stats)
-      : SB(SB), Stats(Stats), Table(SB.stmts().size()) {}
+  ShadowProbeCSE(IRSB &SB, KeyTable &Table, TraceOptStats *Stats)
+      : SB(SB), Stats(Stats), Table(Table) {}
 
   void run() {
+    Table.reset(SB.stmts().size());
     for (Stmt *S : SB.stmts()) {
       switch (S->Kind) {
       case StmtKind::ShadowProbe: {
@@ -960,43 +1084,79 @@ public:
 private:
   IRSB &SB;
   TraceOptStats *Stats;
-  KeyTable Table;
+  KeyTable &Table;
 };
 
-void optRound(IRSB &SB, const SpecFn &Spec, const PreservedPuts &Preserve,
-              const TraceOptConfig *Trace) {
-  PropFold(SB, Spec).run();
-  RedundantGet(SB, Trace).run();
-  PropFold(SB, Spec).run();
-  CSE(SB).run();
-  PropFold(SB, Spec).run();
-  DeadPut(SB, Preserve, Trace).run();
-  DeadCode(SB).run();
+} // namespace
+
+struct ir::OptStorage::Tables {
+  std::vector<Expr *> Env;       ///< PropFold: tmp -> the atom it copies
+  std::vector<Stmt *> NewStmts;  ///< PropFold: the rewritten statement list
+  RangeOwners Slots;             ///< RedundantGet: known slot contents
+  PendingSet Pending;            ///< DeadPut: ranges overwritten later
+  KeyTable Keys;                 ///< CSE and ShadowProbeCSE
+  std::vector<bool> Live;        ///< DeadCode: tmp liveness
+
+  /// Grows the tables for \p SB up front, so that no pass regrows them
+  /// statement by statement; once they fit, this costs nothing.
+  void fit(const IRSB &SB) {
+    Env.reserve(SB.numTmps());
+    NewStmts.reserve(SB.stmts().size());
+    Live.reserve(SB.numTmps());
+  }
+};
+
+ir::OptStorage::OptStorage() : T(std::make_unique<Tables>()) {}
+ir::OptStorage::~OptStorage() = default;
+
+namespace {
+
+/// One round of the seven Phase-2 passes. Returns true if its CSE replaced
+/// an expression.
+bool optRound(IRSB &SB, const SpecFn &Spec, const PreservedPuts &Preserve,
+              const TraceOptConfig *Trace, OptStorage::Tables &T) {
+  PropFold(SB, Spec, T.Env, T.NewStmts).run();
+  RedundantGet(SB, T.Slots, Trace).run();
+  PropFold(SB, Spec, T.Env, T.NewStmts).run();
+  bool CSEHit = CSE(SB, T.Keys).run();
+  PropFold(SB, Spec, T.Env, T.NewStmts).run();
+  DeadPut(SB, T.Pending, Preserve, Trace).run();
+  DeadCode(SB, T.Live).run();
+  return CSEHit;
 }
 
 } // namespace
 
-void ir::optimise1(IRSB &SB, const SpecFn &Spec,
+bool ir::optimise1(IRSB &SB, const SpecFn &Spec,
                    const PreservedPuts &Preserve,
-                   const TraceOptConfig *Trace) {
-  // Two rounds reach a fixpoint on all blocks the front end produces.
-  for (int Round = 0; Round != 2; ++Round)
-    optRound(SB, Spec, Preserve, Trace);
+                   const TraceOptConfig *Trace, OptStorage *Storage) {
+  std::optional<OptStorage> Local;
+  OptStorage::Tables &T = (Storage ? *Storage : Local.emplace()).tables();
+  T.fit(SB);
+  // The second round runs only after a CSE hit (see IROpt.h). Two rounds
+  // are a cap, not a fixpoint: a third would still change some blocks.
+  if (!optRound(SB, Spec, Preserve, Trace, T))
+    return false;
+  optRound(SB, Spec, Preserve, Trace, T);
+  return true;
 }
 
 void ir::optimise2(IRSB &SB, const SpecFn &Spec,
                    const PreservedPuts &Preserve,
-                   const TraceOptConfig *Trace) {
+                   const TraceOptConfig *Trace, OptStorage *Storage) {
+  std::optional<OptStorage> Local;
+  OptStorage::Tables &T = (Storage ? *Storage : Local.emplace()).tables();
+  T.fit(SB);
   // Analysis code benefits from Get/Put forwarding just like client code
   // (Section 4 R1: "shadow operations benefit fully from Valgrind's
   // post-instrumentation IR optimiser") — e.g. per-instruction inline
   // counters collapse to one load, N adds, and one store per block.
-  optRound(SB, Spec, Preserve, Trace);
+  optRound(SB, Spec, Preserve, Trace, T);
   if (Trace) {
     // Cross-seam probe dedup exposes fresh copies and common guard
     // expressions; one more round folds and sweeps them.
-    ShadowProbeCSE(SB, Trace->Stats).run();
-    optRound(SB, Spec, Preserve, Trace);
+    ShadowProbeCSE(SB, T.Keys, Trace->Stats).run();
+    optRound(SB, Spec, Preserve, Trace, T);
   }
 }
 

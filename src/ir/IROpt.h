@@ -89,17 +89,50 @@ struct TraceOptConfig {
   }
 };
 
+/// The tables the optimisation passes work in (tmp environment, output
+/// statement list, guest-state slot tables, CSE hash table, liveness),
+/// kept from one pass run to the next so that each pass clears them
+/// instead of allocating its own. translateBlock owns one per translation,
+/// so the storage lives and dies with that translation; optimise1 and
+/// optimise2 called without one use a local one.
+class OptStorage {
+public:
+  OptStorage();
+  ~OptStorage();
+  OptStorage(const OptStorage &) = delete;
+  OptStorage &operator=(const OptStorage &) = delete;
+
+  struct Tables;
+  Tables &tables() { return *T; }
+
+private:
+  std::unique_ptr<Tables> T;
+};
+
 /// Full Phase-2 optimisation on flat IR, in place. \p Spec may be null.
 /// \p Trace (null for superblocks) enables the cross-seam extensions.
-void optimise1(IRSB &SB, const SpecFn &Spec,
+///
+/// Runs one round of seven passes (fold, redundant-Get, fold, CSE, fold,
+/// dead-Put, dead-code), and a second round only if the first round's CSE
+/// replaced an expression: its merges are what give another round new
+/// copies to fold and new duplicates to merge. Without one, a second round
+/// changes nothing as long as each guest-state slot is read and written at
+/// one width and type, as the VG1 front end does: only a dead Get of
+/// another width or type than the Put before it could keep a dead Put
+/// alive into a second round. Two rounds are a cap, not a fixpoint: a
+/// third would still change a few blocks. Returns true if the second
+/// round ran.
+bool optimise1(IRSB &SB, const SpecFn &Spec,
                const PreservedPuts &Preserve = PreservedPuts(),
-               const TraceOptConfig *Trace = nullptr);
+               const TraceOptConfig *Trace = nullptr,
+               OptStorage *Storage = nullptr);
 
 /// Cheaper Phase-4 optimisation on flat IR, in place. \p Spec may be null
 /// (tools' instrumentation also benefits from helper specialisation).
 void optimise2(IRSB &SB, const SpecFn &Spec,
                const PreservedPuts &Preserve = PreservedPuts(),
-               const TraceOptConfig *Trace = nullptr);
+               const TraceOptConfig *Trace = nullptr,
+               OptStorage *Storage = nullptr);
 
 /// Flat IR -> tree IR, in place (Phase 5).
 void buildTrees(IRSB &SB);

@@ -133,6 +133,10 @@ public:
   void noteTranslation(uint32_t Addr, uint32_t NumInsns, unsigned Tier,
                        double Seconds);
 
+  /// A translation's optimisation 1 ran its second round (its first
+  /// round's CSE merged an expression).
+  void noteOptimise1SecondRound() { ++Optimise1SecondRounds; }
+
   /// Renders the report: per-phase translation timings, dispatcher and
   /// table counters, and the TopN blocks ranked by execution count.
   void report(OutputSink &Out, const ProfCounters &C,
@@ -153,6 +157,7 @@ private:
       static_cast<unsigned>(ProfPhase::NumPhases);
   double PhaseSeconds[NPhases] = {};
   uint64_t PhaseCounts[NPhases] = {};
+  uint64_t Optimise1SecondRounds = 0;
   std::map<uint32_t, BlockInfo> Blocks; ///< survives eviction, keyed by PC
 };
 

@@ -212,6 +212,30 @@ TEST(IROpt, RedundantPutElimination) {
   EXPECT_EQ(SB.stmts()[0]->Data->ConstVal, 0x1006u);
 }
 
+// A wider Put over a pending narrower one makes two overlapping pending
+// ranges. A Put is dead only inside one of them, and a Get between drops
+// every range it overlaps.
+TEST(IROpt, DeadPutWithPartlyOverlappingPuts) {
+  IRSB SB;
+  SB.put(0, SB.constI32(1)); // inside the I64 Put's range: dead
+  SB.put(0, SB.constI64(2));
+  SB.put(4, SB.constI32(3));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  optimise1(SB, nullptr);
+  ASSERT_EQ(countKind(SB, StmtKind::Put), 2);
+  EXPECT_EQ(SB.stmts()[0]->Data->ConstVal, 2u);
+
+  IRSB Read;
+  Read.put(0, Read.constI32(1)); // read by the Get below: kept
+  TmpId T = Read.wrTmp(Read.get(4, Ty::I32));
+  Read.put(16, Read.rdTmp(T));
+  Read.put(0, Read.constI64(2));
+  Read.put(4, Read.constI32(3));
+  Read.setNext(Read.constI32(0), JumpKind::Boring);
+  optimise1(Read, nullptr);
+  EXPECT_EQ(countKind(Read, StmtKind::Put), 4);
+}
+
 TEST(IROpt, PutNotEliminatedAcrossExit) {
   IRSB SB;
   SB.put(64, SB.constI32(0x1000));
@@ -261,6 +285,40 @@ TEST(IROpt, CSEMergesPureComputation) {
         S->Data->Opc == Op::Mul32)
       ++Muls;
   EXPECT_EQ(Muls, 1);
+}
+
+// Round one's CSE merges the two Adds, which makes the two Muls identical
+// only after its folding: the second round must still run to merge them.
+TEST(IROpt, CSECascadeTakesSecondRound) {
+  IRSB SB;
+  TmpId T1 = SB.wrTmp(SB.get(0, Ty::I32));
+  TmpId T2 = SB.wrTmp(SB.get(4, Ty::I32));
+  TmpId T3 = SB.wrTmp(SB.binop(Op::Add32, SB.rdTmp(T1), SB.rdTmp(T2)));
+  TmpId T4 = SB.wrTmp(SB.binop(Op::Add32, SB.rdTmp(T1), SB.rdTmp(T2)));
+  TmpId T5 = SB.wrTmp(SB.binop(Op::Mul32, SB.rdTmp(T3), SB.rdTmp(T1)));
+  TmpId T6 = SB.wrTmp(SB.binop(Op::Mul32, SB.rdTmp(T4), SB.rdTmp(T1)));
+  SB.put(8, SB.rdTmp(T5));
+  SB.put(12, SB.rdTmp(T6));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  EXPECT_TRUE(optimise1(SB, nullptr));
+  int Adds = 0, Muls = 0;
+  for (const Stmt *S : SB.stmts())
+    if (S->Kind == StmtKind::WrTmp && S->Data->Kind == ExprKind::Binop) {
+      Adds += S->Data->Opc == Op::Add32;
+      Muls += S->Data->Opc == Op::Mul32;
+    }
+  EXPECT_EQ(Adds, 1);
+  EXPECT_EQ(Muls, 1);
+}
+
+TEST(IROpt, NoCSEHitSkipsSecondRound) {
+  IRSB SB;
+  TmpId T0 = SB.wrTmp(SB.get(0, Ty::I32));
+  TmpId T1 = SB.wrTmp(SB.binop(Op::Add32, SB.rdTmp(T0), SB.constI32(1)));
+  SB.put(4, SB.rdTmp(T1));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  EXPECT_FALSE(optimise1(SB, nullptr));
+  EXPECT_EQ(countKind(SB, StmtKind::WrTmp), 2);
 }
 
 TEST(IROpt, StaticallyFalseExitRemoved) {
