@@ -144,7 +144,7 @@ tsan() (
   ctest --preset tsan
 )
 
-# The translation pipeline's unit, golden, JIT, property and
+# The translation pipeline's unit, golden, JIT, property, tool and
 # persistent-cache tests (the `pipeline` label: its dense tables are indexed
 # by tmp, vreg and guest-state byte offset and reused from pass to pass,
 # and the cache decodes bytes read from disk) and
@@ -159,7 +159,8 @@ asan() (
       --target test_ir --target test_hvm --target test_irgolden \
       --target test_jit --target test_translationservice \
       --target test_transcache --target test_properties --target test_core \
-      --target test_schedsignal --target test_mtsched >/dev/null
+      --target test_schedsignal --target test_mtsched \
+      --target test_tools >/dev/null
   ctest --preset asan
 )
 

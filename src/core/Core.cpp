@@ -96,6 +96,8 @@ void Core::applyOptions() {
   else
     Smc = SmcMode::Stack;
   ChainingEnabled = Opts.getBool("chaining");
+  VerifyIR = Opts.getBool("verify-ir");
+  NoIROpt = Opts.getBool("no-iropt");
   TraceTier = Opts.getBool("trace-tier");
   // Parsed even when unused, so a malformed value is always an error.
   uint64_t Hot = static_cast<uint64_t>(
@@ -426,7 +428,7 @@ bool Core::addrOnAnyStack(uint32_t Addr) const {
 void Core::setupTranslation(TranslationOptions &TO, uint32_t PC,
                             Translation *Raw) {
   TO.Spec = Spec;
-  TO.Verify = Opts.getBool("verify-ir");
+  TO.Verify = VerifyIR;
   TO.Prof = Prof.get();
   if (size_t N = TO.Trace.Entries.size()) {
     // Tier 2: the trace inlines up to N baseline blocks, so the limits
@@ -437,7 +439,7 @@ void Core::setupTranslation(TranslationOptions &TO, uint32_t PC,
     TO.Frontend.MaxChases =
         static_cast<uint32_t>(std::min<size_t>(16 * N, 64));
   }
-  if (Opts.getBool("no-iropt")) {
+  if (NoIROpt) {
     TO.RunOptimise1 = false;
     TO.RunOptimise2 = false;
     TO.Spec = [](ir::IRSB &, const ir::Callee *,

@@ -304,6 +304,8 @@ private:
   unsigned SchedThreads = 1; // --sched-threads
   SmcMode Smc = SmcMode::Stack;
   bool ChainingEnabled = false;
+  bool VerifyIR = false; // --verify-ir
+  bool NoIROpt = false;  // --no-iropt
   bool TraceTier = false; // --trace-tier
   /// Executions that make a baseline block a trace head: 4x --hot-threshold
   /// under --trace-tier with chaining, else never (DESIGN section 13).

@@ -38,7 +38,9 @@ public:
   virtual void init(Core &C) {}
 
   /// Phase 3: instrument one flat superblock in place. The default adds no
-  /// analysis code (Nulgrind behaviour).
+  /// analysis code (Nulgrind behaviour). A block whose statement list, tmp
+  /// count and end come back unchanged skips Phase 4 (DESIGN.md §7), so
+  /// an edit made only inside existing statements goes unoptimised.
   virtual void instrument(ir::IRSB &SB) {}
 
   /// Called at client exit, before the core prints its summary.

@@ -9,6 +9,7 @@
 #include "support/Errors.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace vg;
 
@@ -23,6 +24,25 @@ void verifyIR(const ir::IRSB &SB, bool Flat, const char *Phase) {
   unreachable("translation produced ill-formed IR");
 }
 
+/// What Phase 3 must leave as it was for Phase 4 to be skipped: the
+/// statement list, compared by statement identity (instrumenters build new
+/// statements rather than edit old ones in place), the tmp count and the
+/// block end.
+struct BlockShape {
+  explicit BlockShape(const ir::IRSB &SB)
+      : Stmts(SB.stmts()), NumTmps(SB.numTmps()), Next(SB.next()),
+        EndJK(SB.endJumpKind()) {}
+  bool matches(const ir::IRSB &SB) const {
+    return SB.numTmps() == NumTmps && SB.next() == Next &&
+           SB.endJumpKind() == EndJK && SB.stmts() == Stmts;
+  }
+
+  std::vector<ir::Stmt *> Stmts;
+  size_t NumTmps;
+  const ir::Expr *Next;
+  ir::JumpKind EndJK;
+};
+
 std::string renderHost(const hvm::HostCode &Code) {
   std::string Out;
   for (const hvm::HInstr &I : Code.Instrs) {
@@ -33,6 +53,38 @@ std::string renderHost(const hvm::HostCode &Code) {
 }
 
 } // namespace
+
+ir::TraceOptConfig vg::traceOptConfig(
+    const ir::IRSB &TraceIR, const FetchFn &Fetch,
+    std::vector<std::pair<uint32_t, uint32_t>> &Extents) {
+  // Prove the CC thunk dead at whichever exit targets allow it, so DeadPut
+  // can treat side exits as jumps with known downstream liveness rather
+  // than barriers. The scanned bytes join the extents: if the proof's code
+  // changes, the trace dies with it.
+  ir::TraceOptConfig Cfg;
+  Cfg.PCLo = vg1::gso::PC;
+  Cfg.PCHi = vg1::gso::PC + 4;
+  Cfg.CCLo = vg1::gso::CC_OP;
+  Cfg.CCHi = vg1::gso::CC_NDEP + 4;
+  Cfg.ShadowOffset = vg1::gso::ShadowOffset;
+  std::vector<uint32_t> Cands;
+  for (const ir::Stmt *S : TraceIR.stmts())
+    if (S->Kind == ir::StmtKind::Exit && S->JK == ir::JumpKind::Boring)
+      Cands.push_back(S->DstPC);
+  uint32_t FinalPC = ~0u;
+  if (TraceIR.next()->isConst() &&
+      TraceIR.endJumpKind() == ir::JumpKind::Boring)
+    Cands.push_back(FinalPC = static_cast<uint32_t>(TraceIR.next()->ConstVal));
+  std::sort(Cands.begin(), Cands.end());
+  Cands.erase(std::unique(Cands.begin(), Cands.end()), Cands.end());
+  std::vector<std::pair<uint32_t, uint32_t>> Scanned;
+  for (uint32_t T : Cands)
+    if (flagsDeadAt(T, Fetch, Scanned))
+      Cfg.FlagsDeadTargets.push_back(T);
+  Cfg.FlagsDeadAtEnd = FinalPC != ~0u && Cfg.flagsDeadAtTarget(FinalPC);
+  Extents.insert(Extents.end(), Scanned.begin(), Scanned.end());
+  return Cfg;
+}
 
 TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
                                    const TranslationOptions &Opts,
@@ -54,50 +106,30 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
   if (Art)
     Art->TreeIR = ir::toString(*Dis.SB, ir::vg1OffsetName);
 
-  // Trace pipelines: prove the CC thunk dead at whichever exit targets
-  // allow it, so DeadPut can treat side exits as jumps with known
-  // downstream liveness rather than barriers. The scanned bytes join the
-  // extents: if the proof's code changes, the trace dies with it.
   ir::TraceOptConfig TraceCfg;
   if (IsTrace) {
-    TraceCfg.PCLo = vg1::gso::PC;
-    TraceCfg.PCHi = vg1::gso::PC + 4;
-    TraceCfg.CCLo = vg1::gso::CC_OP;
-    TraceCfg.CCHi = vg1::gso::CC_NDEP + 4;
-    TraceCfg.ShadowOffset = vg1::gso::ShadowOffset;
+    TraceCfg = traceOptConfig(*Dis.SB, Fetch, Dis.Extents);
     TraceCfg.Stats = Opts.TraceStats;
-    std::vector<uint32_t> Cands;
-    for (const ir::Stmt *S : Dis.SB->stmts())
-      if (S->Kind == ir::StmtKind::Exit && S->JK == ir::JumpKind::Boring)
-        Cands.push_back(S->DstPC);
-    uint32_t FinalPC = ~0u;
-    if (Dis.SB->next()->isConst() &&
-        Dis.SB->endJumpKind() == ir::JumpKind::Boring)
-      Cands.push_back(FinalPC =
-                          static_cast<uint32_t>(Dis.SB->next()->ConstVal));
-    std::sort(Cands.begin(), Cands.end());
-    Cands.erase(std::unique(Cands.begin(), Cands.end()), Cands.end());
-    std::vector<std::pair<uint32_t, uint32_t>> Scanned;
-    for (uint32_t T : Cands)
-      if (flagsDeadAt(T, Fetch, Scanned))
-        TraceCfg.FlagsDeadTargets.push_back(T);
-    TraceCfg.FlagsDeadAtEnd =
-        FinalPC != ~0u && TraceCfg.flagsDeadAtTarget(FinalPC);
-    Dis.Extents.insert(Dis.Extents.end(), Scanned.begin(), Scanned.end());
   }
   const ir::TraceOptConfig *TC = IsTrace ? &TraceCfg : nullptr;
 
   // The optimisation passes' tables, shared by Phases 2 and 4.
   ir::OptStorage Storage;
 
-  // Phase 2: flatten + optimisation 1.
+  // Phase 2: flatten + optimisation 1. Settled says whether another round
+  // of its passes would change nothing (see IROpt.h).
   std::unique_ptr<ir::IRSB> SB;
+  bool Settled = false;
   {
     Profiler::Timer Tm(Prof, ProfPhase::Optimise1);
     SB = ir::flatten(*Dis.SB);
-    if (Opts.RunOptimise1 &&
-        ir::optimise1(*SB, Spec, Opts.Preserve, TC, &Storage) && Prof)
-      Prof->noteOptimise1SecondRound();
+    if (Opts.RunOptimise1) {
+      ir::Optimise1Result R =
+          ir::optimise1(*SB, Spec, Opts.Preserve, TC, &Storage);
+      Settled = R.Settled;
+      if (R.SecondRound && Prof)
+        Prof->noteOptimise1SecondRound();
+    }
   }
   if (Opts.Verify)
     verifyIR(*SB, /*RequireFlat=*/true, "optimisation 1");
@@ -106,10 +138,15 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
 
   // Phase 3: instrumentation (the tool plug-in).
   if (Opts.Instrument) {
+    std::optional<BlockShape> Before;
+    if (Settled && Opts.RunOptimise2)
+      Before.emplace(*SB);
     {
       Profiler::Timer Tm(Prof, ProfPhase::Instrument);
       Opts.Instrument(*SB);
     }
+    if (Before)
+      Settled = Before->matches(*SB);
     if (Opts.Verify)
       verifyIR(*SB, /*RequireFlat=*/true, "instrumentation");
     if (Art) {
@@ -119,10 +156,16 @@ TranslatedBlock vg::translateBlock(uint32_t Addr, const FetchFn &Fetch,
     }
   }
 
-  // Phase 4: optimisation 2.
+  // Phase 4: optimisation 2, unless Phase 2 settled and Phase 3 added
+  // nothing: then its round would change nothing.
   if (Opts.RunOptimise2) {
-    Profiler::Timer Tm(Prof, ProfPhase::Optimise2);
-    ir::optimise2(*SB, Spec, Opts.Preserve, TC, &Storage);
+    if (Settled) {
+      if (Prof)
+        Prof->noteOptimise2Skipped();
+    } else {
+      Profiler::Timer Tm(Prof, ProfPhase::Optimise2);
+      ir::optimise2(*SB, Spec, Opts.Preserve, TC, &Storage);
+    }
   }
   if (Opts.Verify)
     verifyIR(*SB, /*RequireFlat=*/true, "optimisation 2");

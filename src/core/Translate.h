@@ -29,7 +29,8 @@
 namespace vg {
 
 /// The tool's Phase 3 hook: transforms a flat superblock in place (tools
-/// may rebuild the statement list arbitrarily).
+/// may rebuild the statement list arbitrarily). Phase 4 is skipped when
+/// the list, tmp count and block end come back unchanged.
 using InstrumentFn = std::function<void(ir::IRSB &SB)>;
 
 struct TranslationOptions {
@@ -77,6 +78,15 @@ struct TranslatedBlock {
   /// blocks. Plain superblocks still treat overflow as a fatal bug.
   bool SpillOverflow = false;
 };
+
+/// The trace tier's cross-seam optimisation context for \p TraceIR, a
+/// trace's Phase 1 output: the guest-state geometry and the Boring exit
+/// targets at which the CC thunk is provably dead. The bytes those proofs
+/// scanned are appended to \p Extents. translateBlock calls this for every
+/// trace; tests call it to rerun a trace's Phase 2 by hand.
+ir::TraceOptConfig traceOptConfig(
+    const ir::IRSB &TraceIR, const FetchFn &Fetch,
+    std::vector<std::pair<uint32_t, uint32_t>> &Extents);
 
 /// Runs the pipeline for the block at \p Addr. On IR verification failure
 /// (Verify set) aborts with a diagnostic — translation bugs are

@@ -51,22 +51,29 @@ unsigned encodedSizeFor(HOp Op) {
   return 0;
 }
 
-unsigned encodedSize(const HInstr &I) { return encodedSizeFor(I.Op); }
-
-void putU16(std::vector<uint8_t> &B, uint16_t V) {
-  B.push_back(static_cast<uint8_t>(V));
-  B.push_back(static_cast<uint8_t>(V >> 8));
+/// Immediate-form selection: ALUI with a byte-sized immediate uses the
+/// compact ALUIS encoding (6 bytes instead of 13).
+HOp encodedOp(const HInstr &I) {
+  return I.Op == HOp::ALUI && I.Imm <= 0xFF ? HOp::ALUIS : I.Op;
 }
 
-void putU32(std::vector<uint8_t> &B, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    B.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
-
-void putU64(std::vector<uint8_t> &B, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    B.push_back(static_cast<uint8_t>(V >> (8 * I)));
-}
+/// Writes little-endian fields into a buffer encode() has already sized.
+struct ByteWriter {
+  uint8_t *P;
+  void u8(uint8_t V) { *P++ = V; }
+  void u16(uint16_t V) {
+    u8(static_cast<uint8_t>(V));
+    u8(static_cast<uint8_t>(V >> 8));
+  }
+  void u32(uint32_t V) {
+    for (int I = 0; I != 4; ++I)
+      u8(static_cast<uint8_t>(V >> (8 * I)));
+  }
+  void u64(uint64_t V) {
+    for (int I = 0; I != 8; ++I)
+      u8(static_cast<uint8_t>(V >> (8 * I)));
+  }
+};
 
 uint8_t r8(RegId R) {
   assert(!isVirtual(R) && R < NumHostRegs && "unallocated register reaches encoder");
@@ -75,131 +82,126 @@ uint8_t r8(RegId R) {
 
 } // namespace
 
-std::vector<uint8_t> hvm::encode(const HostCode &CodeIn) {
-  // Immediate-form selection: ALUI with a byte-sized immediate uses the
-  // compact ALUIS encoding (6 bytes instead of 13).
-  HostCode Code = CodeIn;
-  for (HInstr &I : Code.Instrs)
-    if (I.Op == HOp::ALUI && I.Imm <= 0xFF)
-      I.Op = HOp::ALUIS;
-
+std::vector<uint8_t> hvm::encode(const HostCode &Code) {
   // First pass: byte offset of every instruction (for JZ targets).
   std::vector<uint32_t> Offset(Code.Instrs.size() + 1, 0);
   uint32_t Pos = 0;
   for (size_t I = 0; I != Code.Instrs.size(); ++I) {
     Offset[I] = Pos;
-    Pos += encodedSize(Code.Instrs[I]);
+    Pos += encodedSizeFor(encodedOp(Code.Instrs[I]));
   }
   Offset[Code.Instrs.size()] = Pos;
 
-  std::vector<uint8_t> B;
-  B.reserve(Pos);
+  std::vector<uint8_t> Bytes(Pos);
+  ByteWriter B{Bytes.data()};
   for (const HInstr &I : Code.Instrs) {
-    B.push_back(static_cast<uint8_t>(I.Op));
-    switch (I.Op) {
+    const HOp Op = encodedOp(I);
+    B.u8(static_cast<uint8_t>(Op));
+    switch (Op) {
     case HOp::LI:
-      B.push_back(r8(I.Dst));
-      putU64(B, I.Imm);
+      B.u8(r8(I.Dst));
+      B.u64(I.Imm);
       break;
     case HOp::MOV:
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
+      B.u8(r8(I.Dst));
+      B.u8(r8(I.A));
       break;
     case HOp::ALU:
-      putU16(B, static_cast<uint16_t>(I.IrOp));
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      B.push_back(r8(I.B));
+      B.u16(static_cast<uint16_t>(I.IrOp));
+      B.u8(r8(I.Dst));
+      B.u8(r8(I.A));
+      B.u8(r8(I.B));
       break;
     case HOp::ALU1:
-      putU16(B, static_cast<uint16_t>(I.IrOp));
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
+      B.u16(static_cast<uint16_t>(I.IrOp));
+      B.u8(r8(I.Dst));
+      B.u8(r8(I.A));
       break;
     case HOp::ALUI:
-      putU16(B, static_cast<uint16_t>(I.IrOp));
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      putU64(B, I.Imm);
+      B.u16(static_cast<uint16_t>(I.IrOp));
+      B.u8(r8(I.Dst));
+      B.u8(r8(I.A));
+      B.u64(I.Imm);
       break;
     case HOp::LDG:
-      B.push_back(r8(I.Dst));
-      putU32(B, I.Off);
-      B.push_back(I.Size);
+      B.u8(r8(I.Dst));
+      B.u32(I.Off);
+      B.u8(I.Size);
       break;
     case HOp::STG:
-      B.push_back(r8(I.A));
-      putU32(B, I.Off);
-      B.push_back(I.Size);
+      B.u8(r8(I.A));
+      B.u32(I.Off);
+      B.u8(I.Size);
       break;
     case HOp::LDM:
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      putU32(B, static_cast<uint32_t>(I.Disp));
-      B.push_back(I.Size);
+      B.u8(r8(I.Dst));
+      B.u8(r8(I.A));
+      B.u32(static_cast<uint32_t>(I.Disp));
+      B.u8(I.Size);
       break;
     case HOp::STM:
-      B.push_back(r8(I.A));
-      B.push_back(r8(I.B));
-      putU32(B, static_cast<uint32_t>(I.Disp));
-      B.push_back(I.Size);
+      B.u8(r8(I.A));
+      B.u8(r8(I.B));
+      B.u32(static_cast<uint32_t>(I.Disp));
+      B.u8(I.Size);
       break;
     case HOp::SEL:
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      B.push_back(r8(I.B));
-      B.push_back(r8(I.C));
+      B.u8(r8(I.Dst));
+      B.u8(r8(I.A));
+      B.u8(r8(I.B));
+      B.u8(r8(I.C));
       break;
     case HOp::CALL:
-      putU64(B, reinterpret_cast<uint64_t>(I.CalleeFn));
-      B.push_back(I.Dst == NoReg ? 0xFF : r8(I.Dst));
-      B.push_back(I.NArgs);
+      B.u64(reinterpret_cast<uint64_t>(I.CalleeFn));
+      B.u8(I.Dst == NoReg ? 0xFF : r8(I.Dst));
+      B.u8(I.NArgs);
       for (int J = 0; J != 4; ++J)
-        B.push_back(I.Args[J] == NoReg ? 0 : r8(I.Args[J]));
+        B.u8(I.Args[J] == NoReg ? 0 : r8(I.Args[J]));
       break;
     case HOp::JZ:
-      B.push_back(r8(I.A));
+      B.u8(r8(I.A));
       assert(I.Label >= 0 &&
              static_cast<size_t>(I.Label) < Offset.size() &&
              "JZ with unresolved label");
-      putU32(B, Offset[I.Label]);
+      B.u32(Offset[I.Label]);
       break;
     case HOp::EXITI:
-      putU32(B, static_cast<uint32_t>(I.Imm));
-      B.push_back(I.JKind);
-      putU32(B, I.ChainSlot);
+      B.u32(static_cast<uint32_t>(I.Imm));
+      B.u8(I.JKind);
+      B.u32(I.ChainSlot);
       break;
     case HOp::EXITR:
-      B.push_back(r8(I.A));
-      B.push_back(I.JKind);
+      B.u8(r8(I.A));
+      B.u8(I.JKind);
       break;
     case HOp::IMARK:
-      putU32(B, static_cast<uint32_t>(I.Imm));
+      B.u32(static_cast<uint32_t>(I.Imm));
       break;
     case HOp::SPILL:
-      B.push_back(r8(I.A));
-      putU32(B, I.Off);
+      B.u8(r8(I.A));
+      B.u32(I.Off);
       break;
     case HOp::RELOAD:
-      B.push_back(r8(I.Dst));
-      putU32(B, I.Off);
+      B.u8(r8(I.Dst));
+      B.u32(I.Off);
       break;
     case HOp::ALUIS:
-      putU16(B, static_cast<uint16_t>(I.IrOp));
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      B.push_back(static_cast<uint8_t>(I.Imm));
+      B.u16(static_cast<uint16_t>(I.IrOp));
+      B.u8(r8(I.Dst));
+      B.u8(r8(I.A));
+      B.u8(static_cast<uint8_t>(I.Imm));
       break;
     case HOp::SHPROBE:
-      B.push_back(r8(I.Dst));
-      B.push_back(r8(I.A));
-      B.push_back(I.B == NoReg ? 0xFF : r8(I.B));
-      B.push_back(static_cast<uint8_t>(I.Imm)); // bit 0: store form
-      B.push_back(I.Size);
+      B.u8(r8(I.Dst));
+      B.u8(r8(I.A));
+      B.u8(I.B == NoReg ? 0xFF : r8(I.B));
+      B.u8(static_cast<uint8_t>(I.Imm)); // bit 0: store form
+      B.u8(I.Size);
       break;
     }
   }
-  return B;
+  assert(B.P == Bytes.data() + Bytes.size() && "encoded size mismatch");
+  return Bytes;
 }
 
 bool hvm::findCalleeSlots(const std::vector<uint8_t> &Bytes,

@@ -10,7 +10,9 @@ namespace {
 
 class Selector {
 public:
-  explicit Selector(const IRSB &SB) : SB(SB) {}
+  explicit Selector(const IRSB &SB) : SB(SB), TmpVreg(SB.numTmps(), NoReg) {
+    Code.Instrs.reserve(InstrsPerStmt * SB.stmts().size() + 4);
+  }
 
   HostCode run() {
     for (const Stmt *S : SB.stmts())
@@ -24,8 +26,7 @@ private:
   RegId freshVreg() { return VirtBase + NextVreg++; }
 
   RegId vregOfTmp(TmpId T) {
-    if (T >= TmpVreg.size())
-      TmpVreg.resize(T + 1, NoReg);
+    assert(T < TmpVreg.size() && "temporary out of range");
     if (TmpVreg[T] == NoReg)
       TmpVreg[T] = freshVreg();
     return TmpVreg[T];
@@ -259,11 +260,16 @@ private:
     X.JKind = static_cast<uint8_t>(SB.endJumpKind());
   }
 
+  /// Host instructions reserved per tree-IR statement, so that lowering
+  /// a block rarely regrows the list (six Table 2 programs' blocks need
+  /// 1.3-2.6 under Nulgrind, ICnt and Memcheck).
+  static constexpr size_t InstrsPerStmt = 3;
+
   const IRSB &SB;
   HostCode Code;
   uint32_t NextVreg = 0;
   uint32_t NextChainSlot = 0;
-  std::vector<RegId> TmpVreg;
+  std::vector<RegId> TmpVreg; ///< tmp -> its vreg, NoReg until first use
 };
 
 } // namespace

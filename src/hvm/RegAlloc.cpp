@@ -56,7 +56,7 @@ UseDef operands(HInstr &I) {
     break;
   case HOp::ALU1:
   case HOp::ALUI:
-  case HOp::ALUIS: // only created at encode time, but handle uniformly
+  case HOp::ALUIS: // only chosen at encode time, but handle uniformly
     U.add(I.A, false);
     U.add(I.Dst, true);
     break;
@@ -114,8 +114,14 @@ unsigned hvm::allocateRegisters(HostCode &Code) {
 
   // --- build live intervals ---------------------------------------------
   // Intervals are indexed by VR - VirtBase (ISel numbers vregs densely);
-  // CallsBefore[I] counts the CALLs at positions < I.
+  // CallsBefore[I] counts the CALLs at positions < I. Order lists the
+  // intervals by (Start, VR), the linear scan's order: an interval joins
+  // it at its first reference, and the few an instruction first references
+  // together are put in vreg order.
   std::vector<Interval> Ivals;
+  Ivals.reserve(Ins.size());
+  std::vector<uint32_t> Order; // indices into Ivals
+  Order.reserve(Ins.size());
   std::vector<int> CallsBefore(Ins.size() + 1, 0);
   auto IntervalOf = [&](RegId VR) -> Interval & {
     return Ivals[VR - VirtBase];
@@ -123,6 +129,7 @@ unsigned hvm::allocateRegisters(HostCode &Code) {
   for (size_t Idx = 0; Idx != Ins.size(); ++Idx) {
     CallsBefore[Idx + 1] = CallsBefore[Idx] + (Ins[Idx].Op == HOp::CALL);
     UseDef U = operands(Ins[Idx]);
+    const size_t FirstNew = Order.size();
     for (unsigned J = 0; J != U.N; ++J) {
       RegId VR = *U.Regs[J];
       if (VR - VirtBase >= Ivals.size())
@@ -131,6 +138,11 @@ unsigned hvm::allocateRegisters(HostCode &Code) {
       if (IV.Start < 0) {
         IV.VR = VR;
         IV.Start = static_cast<int>(Idx);
+        // Insertion sort over this instruction's new intervals (<= 6).
+        size_t P = Order.size();
+        Order.push_back(VR - VirtBase);
+        for (; P != FirstNew && Order[P - 1] > Order[P]; --P)
+          std::swap(Order[P - 1], Order[P]);
       }
       IV.End = static_cast<int>(Idx);
     }
@@ -141,16 +153,6 @@ unsigned hvm::allocateRegisters(HostCode &Code) {
   }
 
   // --- linear scan --------------------------------------------------------
-  std::vector<Interval *> Order;
-  Order.reserve(Ivals.size());
-  for (Interval &IV : Ivals)
-    if (IV.Start >= 0)
-      Order.push_back(&IV);
-  std::sort(Order.begin(), Order.end(), [](const Interval *A,
-                                           const Interval *B) {
-    return A->Start != B->Start ? A->Start < B->Start : A->VR < B->VR;
-  });
-
   std::vector<Interval *> Active; // kept sorted by End
   bool FreeReg[NumAllocatable];
   std::fill(std::begin(FreeReg), std::end(FreeReg), true);
@@ -181,7 +183,8 @@ unsigned hvm::allocateRegisters(HostCode &Code) {
     return CallsBefore[IV->End] > CallsBefore[IV->Start + 1];
   };
 
-  for (Interval *IV : Order) {
+  for (uint32_t OrdIdx : Order) {
+    Interval *IV = &Ivals[OrdIdx];
     Expire(IV->Start);
     bool NeedCalleeSaved = SpansCall(IV);
     unsigned FirstOk = NeedCalleeSaved ? NumCallerSaved : 0;

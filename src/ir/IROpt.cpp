@@ -1127,18 +1127,23 @@ bool optRound(IRSB &SB, const SpecFn &Spec, const PreservedPuts &Preserve,
 
 } // namespace
 
-bool ir::optimise1(IRSB &SB, const SpecFn &Spec,
-                   const PreservedPuts &Preserve,
-                   const TraceOptConfig *Trace, OptStorage *Storage) {
+ir::Optimise1Result ir::optimise1(IRSB &SB, const SpecFn &Spec,
+                                  const PreservedPuts &Preserve,
+                                  const TraceOptConfig *Trace,
+                                  OptStorage *Storage) {
   std::optional<OptStorage> Local;
   OptStorage::Tables &T = (Storage ? *Storage : Local.emplace()).tables();
   T.fit(SB);
   // The second round runs only after a CSE hit (see IROpt.h). Two rounds
   // are a cap, not a fixpoint: a third would still change some blocks.
-  if (!optRound(SB, Spec, Preserve, Trace, T))
-    return false;
-  optRound(SB, Spec, Preserve, Trace, T);
-  return true;
+  Optimise1Result R;
+  if (optRound(SB, Spec, Preserve, Trace, T)) {
+    R.SecondRound = true;
+    R.Settled = !optRound(SB, Spec, Preserve, Trace, T);
+  } else {
+    R.Settled = true;
+  }
+  return R;
 }
 
 void ir::optimise2(IRSB &SB, const SpecFn &Spec,

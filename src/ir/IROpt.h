@@ -9,9 +9,11 @@
 ///                 constant propagation, constant folding, CSE, dead code
 ///                 removal, and partial evaluation of platform-specific
 ///                 helper calls via a callback (the %eflags trick).
-///  - optimise2(): Phase 4 — the cheaper post-instrumentation cleanup
-///                 (constant folding, copy propagation, dead code removal),
-///                 which lets tools emit somewhat simple-minded code.
+///  - optimise2(): Phase 4 — the post-instrumentation cleanup, one round
+///                 of the same seven passes (two and a probe CSE for
+///                 traces), which lets tools emit somewhat simple-minded
+///                 code. The pipeline skips it where Phase 3 added nothing
+///                 and optimise1 settled.
 ///  - buildTrees(): Phase 5 — substitutes single-use temporaries into their
 ///                 use sites to rebuild expression trees for instruction
 ///                 selection. Loads are never moved past stores.
@@ -120,15 +122,27 @@ private:
 /// one width and type, as the VG1 front end does: only a dead Get of
 /// another width or type than the Put before it could keep a dead Put
 /// alive into a second round. Two rounds are a cap, not a fixpoint: a
-/// third would still change a few blocks. Returns true if the second
-/// round ran.
-bool optimise1(IRSB &SB, const SpecFn &Spec,
-               const PreservedPuts &Preserve = PreservedPuts(),
-               const TraceOptConfig *Trace = nullptr,
-               OptStorage *Storage = nullptr);
+/// third would still change a few blocks.
+///
+/// The same reasoning gives Phase 4's rule: where optimise1's last round
+/// settled (its CSE replaced nothing) and instrumentation then left the
+/// statement list, tmp count and block end untouched, optimise2 with the
+/// same \p Spec, \p Preserve and \p Trace would change nothing, and the
+/// pipeline skips it. For a trace, optimise2's probe CSE finds no
+/// ShadowProbe in uninstrumented IR, so its second round is a no-op too.
+struct Optimise1Result {
+  bool SecondRound = false; ///< the first round's CSE hit, so round 2 ran
+  bool Settled = false;     ///< the last round's CSE replaced nothing
+};
+Optimise1Result optimise1(IRSB &SB, const SpecFn &Spec,
+                          const PreservedPuts &Preserve = PreservedPuts(),
+                          const TraceOptConfig *Trace = nullptr,
+                          OptStorage *Storage = nullptr);
 
-/// Cheaper Phase-4 optimisation on flat IR, in place. \p Spec may be null
-/// (tools' instrumentation also benefits from helper specialisation).
+/// Phase-4 optimisation on flat IR, in place: one round of optimise1's
+/// seven passes, and for a trace a ShadowProbe CSE and a second round.
+/// \p Spec may be null (tools' instrumentation also benefits from helper
+/// specialisation).
 void optimise2(IRSB &SB, const SpecFn &Spec,
                const PreservedPuts &Preserve = PreservedPuts(),
                const TraceOptConfig *Trace = nullptr,

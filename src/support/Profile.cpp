@@ -83,12 +83,18 @@ void Profiler::report(OutputSink &Out, const ProfCounters &C,
   }
   Out.printf("%-18s %10s %12.1f\n", "total", "", Total * 1e6);
   uint64_t Opt1Runs = PhaseCounts[static_cast<unsigned>(ProfPhase::Optimise1)];
-  Out.printf("translations=%llu optimise1-second-rounds=%llu (%.2f%%)\n",
+  auto Pct = [Opt1Runs](uint64_t N) {
+    return Opt1Runs ? 100.0 * static_cast<double>(N) /
+                          static_cast<double>(Opt1Runs)
+                    : 0.0;
+  };
+  Out.printf("translations=%llu optimise1-second-rounds=%llu (%.2f%%) "
+             "optimise2-skipped=%llu (%.2f%%)\n",
              static_cast<unsigned long long>(Opt1Runs),
              static_cast<unsigned long long>(Optimise1SecondRounds),
-             Opt1Runs ? 100.0 * static_cast<double>(Optimise1SecondRounds) /
-                            static_cast<double>(Opt1Runs)
-                      : 0.0);
+             Pct(Optimise1SecondRounds),
+             static_cast<unsigned long long>(Optimise2Skipped),
+             Pct(Optimise2Skipped));
 
   Out.printf("\n== profile: dispatcher ==\n");
   Out.printf("blocks=%llu dispatcher-entries=%llu chained=%llu\n",

@@ -137,6 +137,10 @@ public:
   /// round's CSE merged an expression).
   void noteOptimise1SecondRound() { ++Optimise1SecondRounds; }
 
+  /// A translation skipped optimisation 2: its instrumentation added
+  /// nothing and optimisation 1's last round settled.
+  void noteOptimise2Skipped() { ++Optimise2Skipped; }
+
   /// Renders the report: per-phase translation timings, dispatcher and
   /// table counters, and the TopN blocks ranked by execution count.
   void report(OutputSink &Out, const ProfCounters &C,
@@ -158,6 +162,7 @@ private:
   double PhaseSeconds[NPhases] = {};
   uint64_t PhaseCounts[NPhases] = {};
   uint64_t Optimise1SecondRounds = 0;
+  uint64_t Optimise2Skipped = 0;
   std::map<uint32_t, BlockInfo> Blocks; ///< survives eviction, keyed by PC
 };
 

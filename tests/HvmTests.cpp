@@ -215,6 +215,38 @@ TEST(RegAlloc, OnlyIntervalsStrictlySpanningACallNeedCalleeSaved) {
   EXPECT_EQ(HC.Instrs[4].A, HC.Instrs[1].Dst);
 }
 
+TEST(RegAlloc, SimultaneousFirstReferencesAllocateInVregOrder) {
+  // 0: SEL v0 = v3 ? v2 : v1   first references v3, v2, v1, v0, in that
+  //                            order: the scan takes them as v0..v3.
+  // 1..4: STG v1, v2, v3, v0   staggered ends, no pressure.
+  HostCode HC;
+  auto Emit = [&HC](HOp Op) -> HInstr & {
+    HC.Instrs.emplace_back();
+    HC.Instrs.back().Op = Op;
+    return HC.Instrs.back();
+  };
+  const RegId V0 = VirtBase, V1 = VirtBase + 1, V2 = VirtBase + 2,
+              V3 = VirtBase + 3;
+  HInstr &Sel = Emit(HOp::SEL);
+  Sel.Dst = V0;
+  Sel.A = V3;
+  Sel.B = V2;
+  Sel.C = V1;
+  uint32_t Off = 0;
+  for (RegId V : {V1, V2, V3, V0}) {
+    HInstr &St = Emit(HOp::STG);
+    St.A = V;
+    St.Off = Off += 4;
+  }
+  allocateRegisters(HC);
+  ASSERT_EQ(HC.Instrs.size(), 5u);
+  EXPECT_EQ(HC.NumSpillSlots, 0u);
+  EXPECT_EQ(HC.Instrs[0].Dst, 0u);
+  EXPECT_EQ(HC.Instrs[0].A, 3u);
+  EXPECT_EQ(HC.Instrs[0].B, 2u);
+  EXPECT_EQ(HC.Instrs[0].C, 1u);
+}
+
 TEST(Exec, GuardedExitTakenAndNotTaken) {
   for (uint32_t Flag : {0u, 1u}) {
     IRSB SB;

@@ -300,7 +300,7 @@ TEST(IROpt, CSECascadeTakesSecondRound) {
   SB.put(8, SB.rdTmp(T5));
   SB.put(12, SB.rdTmp(T6));
   SB.setNext(SB.constI32(0), JumpKind::Boring);
-  EXPECT_TRUE(optimise1(SB, nullptr));
+  EXPECT_TRUE(optimise1(SB, nullptr).SecondRound);
   int Adds = 0, Muls = 0;
   for (const Stmt *S : SB.stmts())
     if (S->Kind == StmtKind::WrTmp && S->Data->Kind == ExprKind::Binop) {
@@ -317,8 +317,75 @@ TEST(IROpt, NoCSEHitSkipsSecondRound) {
   TmpId T1 = SB.wrTmp(SB.binop(Op::Add32, SB.rdTmp(T0), SB.constI32(1)));
   SB.put(4, SB.rdTmp(T1));
   SB.setNext(SB.constI32(0), JumpKind::Boring);
-  EXPECT_FALSE(optimise1(SB, nullptr));
+  EXPECT_FALSE(optimise1(SB, nullptr).SecondRound);
   EXPECT_EQ(countKind(SB, StmtKind::WrTmp), 2);
+}
+
+int countBinops(const IRSB &SB, Op O) {
+  int N = 0;
+  for (const Stmt *S : SB.stmts())
+    N += S->Kind == StmtKind::WrTmp && S->Data->Kind == ExprKind::Binop &&
+         S->Data->Opc == O;
+  return N;
+}
+
+// Phase 4's skip rule: a block whose last optimise1 round settled (its CSE
+// replaced nothing) gives optimise2 nothing to do, whether optimise1 ran
+// one round or two.
+TEST(IROpt, SettledAfterOneRoundLeavesOptimise2NothingToDo) {
+  IRSB SB;
+  TmpId T0 = SB.wrTmp(SB.get(0, Ty::I32));
+  TmpId T1 = SB.wrTmp(SB.binop(Op::Add32, SB.rdTmp(T0), SB.constI32(1)));
+  SB.put(4, SB.rdTmp(T1));
+  SB.put(8, SB.rdTmp(T1));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  Optimise1Result R = optimise1(SB, nullptr);
+  EXPECT_FALSE(R.SecondRound);
+  EXPECT_TRUE(R.Settled);
+  std::string Before = toString(SB);
+  optimise2(SB, nullptr);
+  EXPECT_EQ(toString(SB), Before);
+}
+
+TEST(IROpt, SettledAfterTwoRoundsLeavesOptimise2NothingToDo) {
+  IRSB SB;
+  TmpId T0 = SB.wrTmp(SB.get(0, Ty::I32));
+  TmpId A = SB.wrTmp(SB.binop(Op::Mul32, SB.rdTmp(T0), SB.constI32(3)));
+  TmpId B = SB.wrTmp(SB.binop(Op::Mul32, SB.rdTmp(T0), SB.constI32(3)));
+  SB.put(4, SB.rdTmp(A));
+  SB.put(8, SB.rdTmp(B));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  Optimise1Result R = optimise1(SB, nullptr);
+  EXPECT_TRUE(R.SecondRound);
+  EXPECT_TRUE(R.Settled);
+  EXPECT_EQ(countBinops(SB, Op::Mul32), 1);
+  std::string Before = toString(SB);
+  optimise2(SB, nullptr);
+  EXPECT_EQ(toString(SB), Before);
+}
+
+// A three-step CSE cascade: round one merges the Adds, round two the Muls,
+// and only a third round (optimise2's) the Subs. optimise1 reports it
+// unsettled, so Phase 4 must still run.
+TEST(IROpt, UnsettledBlockStillGainsFromOptimise2) {
+  IRSB SB;
+  TmpId T1 = SB.wrTmp(SB.get(0, Ty::I32));
+  TmpId T2 = SB.wrTmp(SB.get(4, Ty::I32));
+  TmpId T3 = SB.wrTmp(SB.binop(Op::Add32, SB.rdTmp(T1), SB.rdTmp(T2)));
+  TmpId T4 = SB.wrTmp(SB.binop(Op::Add32, SB.rdTmp(T1), SB.rdTmp(T2)));
+  TmpId T5 = SB.wrTmp(SB.binop(Op::Mul32, SB.rdTmp(T3), SB.rdTmp(T1)));
+  TmpId T6 = SB.wrTmp(SB.binop(Op::Mul32, SB.rdTmp(T4), SB.rdTmp(T1)));
+  TmpId T7 = SB.wrTmp(SB.binop(Op::Sub32, SB.rdTmp(T5), SB.rdTmp(T2)));
+  TmpId T8 = SB.wrTmp(SB.binop(Op::Sub32, SB.rdTmp(T6), SB.rdTmp(T2)));
+  SB.put(8, SB.rdTmp(T7));
+  SB.put(12, SB.rdTmp(T8));
+  SB.setNext(SB.constI32(0), JumpKind::Boring);
+  Optimise1Result R = optimise1(SB, nullptr);
+  EXPECT_TRUE(R.SecondRound);
+  EXPECT_FALSE(R.Settled);
+  EXPECT_EQ(countBinops(SB, Op::Sub32), 2);
+  optimise2(SB, nullptr);
+  EXPECT_EQ(countBinops(SB, Op::Sub32), 1);
 }
 
 TEST(IROpt, StaticallyFalseExitRemoved) {

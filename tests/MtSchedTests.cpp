@@ -206,6 +206,7 @@ uint64_t profileCounter(const std::string &Output, const std::string &Line,
 // workload and on a Table 2 program:
 //   fast-cache hits + misses == table lookups == blocks - chained
 //   side-exits <= trace-execs
+//   optimisation 2 runs + optimise2-skipped == translations
 TEST(MtSched, ProfileAccountingIdentitiesHold) {
   const std::vector<std::string> Tiers = {"--chaining=yes",
                                           "--hot-threshold=50",
@@ -233,6 +234,18 @@ TEST(MtSched, ProfileAccountingIdentitiesHold) {
           EXPECT_EQ(Hits + Misses, Lookups);
           EXPECT_EQ(Lookups, Blocks - Chained);
           EXPECT_EQ(Chained > 0, Tiered);
+          // Phase 4 runs or is skipped once per translation, and is never
+          // skipped on an instrumented (Memcheck) block.
+          uint64_t Translations =
+              profileCounter(Out, "translations=", "translations");
+          uint64_t Skipped =
+              profileCounter(Out, "translations=", "optimise2-skipped");
+          const std::string Opt2Row = "\n4 optimisation 2";
+          size_t Row = Out.find(Opt2Row);
+          ASSERT_NE(Row, std::string::npos);
+          EXPECT_EQ(std::stoull(Out.substr(Row + Opt2Row.size())) + Skipped,
+                    Translations);
+          EXPECT_EQ(Skipped > 0, !Memcheck);
           if (Tiered) {
             uint64_t Execs = profileCounter(Out, "trace-execs=", "trace-execs");
             uint64_t SideExits =

@@ -20,6 +20,7 @@
 #include "hvm/Exec.h"
 #include "hvm/ISel.h"
 #include "ir/IROpt.h"
+#include "ir/IRPrinter.h"
 #include "tools/Cachegrind.h"
 #include "tools/ICnt.h"
 #include "tools/Memcheck.h"
@@ -173,6 +174,30 @@ TEST_P(OptEquivalence, PassesPreserveSemantics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, OptEquivalence, ::testing::Range(0u, 40u));
+
+// Phase 4's skip rule (IROpt.h) on random flat blocks: wherever
+// optimisation 1 reports its last round settled, optimisation 2 leaves
+// the printed IR as it was.
+TEST(OptSkipRule, Optimise2ChangesNothingWhereOptimise1Settled) {
+  unsigned Settled = 0, SettledInTwo = 0;
+  for (unsigned Seed = 0; Seed != 2000; ++Seed) {
+    std::mt19937 Rng(Seed);
+    IRSB SB;
+    buildRandomBlock(SB, Rng);
+    Optimise1Result R = optimise1(SB, nullptr);
+    if (!R.Settled)
+      continue;
+    ++Settled;
+    SettledInTwo += R.SecondRound;
+    std::string Before = toString(SB);
+    optimise2(SB, nullptr);
+    ASSERT_EQ(toString(SB), Before) << "seed " << Seed;
+  }
+  // Both results, and settling in either round, occur in the sweep.
+  EXPECT_GT(SettledInTwo, 0u);
+  EXPECT_GT(Settled, SettledInTwo);
+  EXPECT_LT(Settled, 2000u);
+}
 
 //===----------------------------------------------------------------------===//
 // Whole-program transparency: tools must not perturb client behaviour

@@ -12,6 +12,7 @@
 #include "core/TranslationService.h"
 #include "fuzz/ProgramGen.h"
 #include "guestlib/GuestLib.h"
+#include "ir/IRPrinter.h"
 #include "tools/ICnt.h"
 #include "tools/Memcheck.h"
 #include "tools/Nulgrind.h"
@@ -379,9 +380,12 @@ uint64_t translationDigest(const Translation &T) {
 struct DigestLog {
   std::vector<std::pair<uint64_t, uint64_t>> SeqDigest;
   std::array<size_t, 256> TierCounts{}; ///< translations made, by tier
+  /// Each translation's entry and, for a trace, its constituents.
+  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> Blocks;
   void add(const Translation &T) {
     SeqDigest.push_back({T.Seq, translationDigest(T)});
     ++TierCounts[T.Tier];
+    Blocks.push_back({T.Addr, T.TraceEntries});
   }
   uint64_t fold() {
     std::sort(SeqDigest.begin(), SeqDigest.end());
@@ -446,15 +450,14 @@ struct DigestCfg {
   std::vector<std::string> Opts;
 };
 
-/// Every block crafty, mcf and gcc execute at scale 1, plus six seeded
-/// fuzz programs, translated under each of \p Cfgs: one FNV-1a value over
-/// the per-run digests, and the number of translations in \p N.
-uint64_t pipelineDigest(const std::vector<DigestCfg> &Cfgs, size_t &N) {
-  struct Prog {
-    GuestImage Img;
-    std::string Stdin;
-  };
-  std::vector<Prog> Progs;
+struct DigestProg {
+  GuestImage Img;
+  std::string Stdin;
+};
+
+/// crafty, mcf and gcc at scale 1, plus six seeded fuzz programs.
+std::vector<DigestProg> digestPrograms() {
+  std::vector<DigestProg> Progs;
   for (const char *Name : {"crafty", "mcf", "gcc"})
     Progs.push_back({buildWorkload(Name, 1), ""});
   for (uint64_t Seed = 1; Seed != 7; ++Seed) {
@@ -463,9 +466,17 @@ uint64_t pipelineDigest(const std::vector<DigestCfg> &Cfgs, size_t &N) {
     fuzz::FuzzProgram P = fuzz::generate(Seed * 7919, GO);
     Progs.push_back({fuzz::render(P), P.StdinData});
   }
+  return Progs;
+}
+
+/// Every block the digest programs execute, translated under each of
+/// \p Cfgs: one FNV-1a value over the per-run digests, and the number of
+/// translations in \p N.
+uint64_t pipelineDigest(const std::vector<DigestCfg> &Cfgs, size_t &N) {
+  const std::vector<DigestProg> Progs = digestPrograms();
   uint64_t H = FnvBasis;
   for (const DigestCfg &C : Cfgs)
-    for (const Prog &P : Progs) {
+    for (const DigestProg &P : Progs) {
       DigestLog Log;
       RunReport R = runLogged(P.Img, P.Stdin, C.Kind, C.Opts, Log);
       EXPECT_TRUE(R.Completed);
@@ -500,6 +511,90 @@ TEST(TranslationService, TieredPipelineOutputDigestIsPinned) {
       N);
   EXPECT_GT(N, 500u);
   EXPECT_EQ(H, 0xc5ee9b5613913facULL) << "translations digested: " << N;
+}
+
+// The same for tiered Nulgrind, whose blocks no instrumentation touches:
+// Phase 4 skips optimisation 2 on most of them, and its baseline blocks
+// and traces must still encode exactly as when it ran everywhere.
+TEST(TranslationService, TieredNulgrindPipelineOutputDigestIsPinned) {
+  size_t N = 0;
+  uint64_t H = pipelineDigest(
+      {{DigestTool::Nulgrind,
+        {"--chaining=yes", "--hot-threshold=50", "--trace-tier=yes"}}},
+      N);
+  EXPECT_GT(N, 500u);
+  EXPECT_EQ(H, 0xa753841442ff67c7ULL) << "translations digested: " << N;
+}
+
+/// Reads \p Img's segments as the loader maps them.
+FetchFn fetchFromImage(const GuestImage &Img) {
+  return [&Img](uint32_t Addr, uint8_t *Buf, uint32_t MaxLen) -> uint32_t {
+    for (const ImageSegment &Seg : Img.Segments)
+      if (Addr >= Seg.Base && Addr - Seg.Base < Seg.Bytes.size()) {
+        uint32_t N = std::min<uint32_t>(
+            MaxLen, static_cast<uint32_t>(Seg.Bytes.size() - (Addr - Seg.Base)));
+        std::memcpy(Buf, Seg.Bytes.data() + (Addr - Seg.Base), N);
+        return N;
+      }
+    return 0;
+  };
+}
+
+// Phase 4's skip rule (IROpt.h): where optimisation 1 reports its last
+// round settled, optimisation 2 on the same uninstrumented block changes
+// nothing. Checked on every block and trace the digest programs translate
+// under untiered and tiered Nulgrind, with Phases 1 and 2 rerun by hand
+// as translateBlock runs them. The tiered runs use the lowest hot
+// threshold, so that these short programs form about 160 traces.
+TEST(TranslationService, Optimise2ChangesNothingWhereOptimise1Settled) {
+  const ir::SpecFn Spec = vg1SpecFn();
+  size_t Blocks = 0, Traces = 0, Settled = 0;
+  for (const DigestProg &P : digestPrograms()) {
+    FetchFn Fetch = fetchFromImage(P.Img);
+    for (bool Tiered : {false, true}) {
+      DigestLog Log;
+      std::vector<std::string> Opts;
+      if (Tiered)
+        Opts = {"--chaining=yes", "--hot-threshold=1", "--trace-tier=yes"};
+      ASSERT_TRUE(
+          runLogged(P.Img, P.Stdin, DigestTool::Nulgrind, Opts, Log).Completed);
+      for (const auto &[Addr, Entries] : Log.Blocks) {
+        // A trace is checked with both endings the core may ask for.
+        for (uint32_t Final : {~0u, Addr}) {
+          if (Entries.empty() && Final != ~0u)
+            continue;
+          DisasmResult Dis;
+          ir::TraceOptConfig Cfg;
+          if (Entries.empty()) {
+            Dis = disassembleSB(Addr, Fetch);
+          } else {
+            // The core's trace limits (Core::setupTranslation).
+            FrontendConfig FC;
+            FC.MaxInsns = static_cast<uint32_t>(
+                std::min<size_t>(200 * Entries.size(), 1200));
+            FC.MaxChases = static_cast<uint32_t>(
+                std::min<size_t>(16 * Entries.size(), 64));
+            Dis = disassembleTrace({Entries, Final}, Fetch, FC);
+            Cfg = traceOptConfig(*Dis.SB, Fetch, Dis.Extents);
+            ++Traces;
+          }
+          ++Blocks;
+          const ir::TraceOptConfig *TC = Entries.empty() ? nullptr : &Cfg;
+          std::unique_ptr<ir::IRSB> SB = ir::flatten(*Dis.SB);
+          if (!ir::optimise1(*SB, Spec, {}, TC).Settled)
+            continue;
+          ++Settled;
+          std::string Before = ir::toString(*SB);
+          ir::optimise2(*SB, Spec, {}, TC);
+          ASSERT_EQ(ir::toString(*SB), Before)
+              << "block 0x" << std::hex << Addr << " trace of "
+              << std::dec << Entries.size();
+        }
+      }
+    }
+  }
+  EXPECT_GT(Traces, 0u);
+  EXPECT_GT(Settled, Blocks * 9 / 10) << Settled << " of " << Blocks;
 }
 
 // Two tiers: under the tiered configuration every translation a run makes
